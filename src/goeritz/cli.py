@@ -84,10 +84,8 @@ def _cmd_verify_presentation(args: argparse.Namespace) -> int:
 def _cmd_primitive(args: argparse.Namespace) -> int:
     word = words.parse_word(args.word)
     primitive = words.is_primitive(word)
-    criterion = None
-    if len(words.cyclic_reduce(word)) > 0:
-        criterion = words.mixed_sign_criterion(words.cyclic_reduce(word))
-    certified = criterion is words.Primitivity.CERTIFIED_NON_PRIMITIVE
+    # a nonempty freely reduced word stays nonempty under cyclic reduction
+    certified = word != "" and words.mixed_sign_criterion(word)
     if primitive:
         line = "primitive"
     elif certified:
@@ -393,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

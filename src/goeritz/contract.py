@@ -31,6 +31,8 @@ loop in the star of a vertex of a flag complex is null-homotopic.
 Every run returns a replayable certificate.  Oracle answers are checked
 against the contract above; a bad answer raises
 OracleContractViolation rather than producing a bogus certificate.
+The blocking clauses are stated once, in check_blocking_answer, which
+the engine and the slope fixture's verify_axioms both call.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "Subdivide",
     "HomotopyCertificate",
     "ValidationReport",
+    "check_blocking_answer",
     "contract_loop",
     "validate",
     "max_remoteness",
@@ -116,14 +119,19 @@ class HomotopyCertificate:
         cls, data: dict, decode: Callable[[str], Vertex] = lambda s: s
     ) -> "HomotopyCertificate":
         moves: list = []
-        for m in data["moves"]:
-            if m["type"] == "relabel":
-                moves.append(Relabel(m["pos"], decode(m["old"]), decode(m["new"])))
-            elif m["type"] == "subdivide":
-                moves.append(Subdivide(m["pos"], decode(m["insert"])))
-            else:
-                raise ValueError(f"unknown move type {m['type']!r}")
-        return cls(moves, [decode(v) for v in data["final"]])
+        try:
+            for m in data["moves"]:
+                if m["type"] == "relabel":
+                    moves.append(Relabel(m["pos"], decode(m["old"]), decode(m["new"])))
+                elif m["type"] == "subdivide":
+                    moves.append(Subdivide(m["pos"], decode(m["insert"])))
+                else:
+                    raise ValueError(f"unknown move type {m['type']!r}")
+            return cls(moves, [decode(v) for v in data["final"]])
+        except KeyError as exc:
+            raise ValueError(f"certificate is missing the field {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed certificate: {exc}") from None
 
 
 def max_remoteness(remoteness: Remoteness, loop: Iterable[Vertex]) -> int:
@@ -132,6 +140,53 @@ def max_remoteness(remoteness: Remoteness, loop: Iterable[Vertex]) -> int:
 
 def _reflexive(adjacent: Adjacency) -> Adjacency:
     return lambda u, v: u == v or adjacent(u, v)
+
+
+def check_blocking_answer(
+    adjacent: Adjacency,
+    remoteness: Remoteness,
+    x: Sequence[Vertex],
+    v: Vertex,
+    value: int,
+    witness,
+) -> list[str]:
+    """Every clause of the blocking contract (module docstring) that the
+    answer (value, witness) to blocking(x, v) breaks; [] when it keeps
+    them all.  `adjacent` must be reflexive.
+
+    >>> line = lambda u, w: abs(u - w) <= 1
+    >>> check_blocking_answer(line, abs, (1, 3), 2, 0, 1)
+    ['b=0 witness 1 not adjacent to neighbour image 3']
+    """
+    if value < 0:
+        return [f"negative blocking value {value!r}"]
+    if value == 0:
+        w = witness
+        problems = []
+        if not adjacent(w, v):
+            problems.append(f"b=0 witness {w!r} not adjacent to {v!r}")
+        if remoteness(w) >= remoteness(v):
+            problems.append(f"b=0 witness {w!r} does not lower remoteness below {v!r}")
+        for u in x:
+            if not adjacent(u, w):
+                problems.append(f"b=0 witness {w!r} not adjacent to neighbour image {u!r}")
+        return problems
+    try:
+        vp, wp = witness
+    except (TypeError, ValueError):
+        return [f"b>0 witness {witness!r} is not a pair (v', w')"]
+    if vp not in x:
+        # every other clause is about v', so they say nothing here
+        return [f"b>0 witness member {vp!r} is not a neighbour image"]
+    problems = []
+    if remoteness(wp) >= remoteness(vp):
+        problems.append(f"b>0 replacement {wp!r} does not lower remoteness below {vp!r}")
+    for u in x:
+        if adjacent(u, vp) and not adjacent(u, wp):
+            problems.append(f"b>0 replacement {wp!r} misses neighbour {u!r} of {vp!r}")
+    if not adjacent(wp, v):
+        problems.append(f"b>0 replacement {wp!r} not adjacent to active image {v!r}")
+    return problems
 
 
 def contract_loop(
@@ -169,6 +224,10 @@ def contract_loop(
             )
         return r
 
+    def remote_known(u: Vertex) -> int:
+        # oracles are pure, so the active image v still has remoteness n
+        return n if u == v else remote_checked(u)
+
     moves: list = []
     prev_measure: tuple[int, int, int] | None = None
     while True:
@@ -193,40 +252,14 @@ def contract_loop(
                 f"fuel exhausted with {m} positions at max remoteness {n}"
             )
         fuel -= 1
+        problems = check_blocking_answer(adj, remote_known, x_pair, v, value, witness)
+        if problems:
+            raise OracleContractViolation(problems[0])
         if value == 0:
-            w = witness
-            if not adj(w, v):
-                raise OracleContractViolation(f"b=0 witness {w!r} not adjacent to {v!r}")
-            if remote_checked(w) >= n:
-                raise OracleContractViolation(
-                    f"b=0 witness {w!r} does not lower remoteness below {n}"
-                )
-            for u in x_pair:
-                if not adj(u, w):
-                    raise OracleContractViolation(
-                        f"b=0 witness {w!r} not adjacent to neighbour image {u!r}"
-                    )
-            moves.append(Relabel(i, v, w))
-            cur[i] = w
+            moves.append(Relabel(i, v, witness))
+            cur[i] = witness
         else:
             vp, wp = witness
-            if vp not in x_pair:
-                raise OracleContractViolation(
-                    f"b>0 witness member {vp!r} is not a neighbour image"
-                )
-            if remote_checked(wp) >= remote_checked(vp):
-                raise OracleContractViolation(
-                    f"b>0 replacement {wp!r} does not lower remoteness below {vp!r}"
-                )
-            for u in x_pair:
-                if adj(u, vp) and not adj(u, wp):
-                    raise OracleContractViolation(
-                        f"b>0 replacement {wp!r} misses neighbour {u!r} of {vp!r}"
-                    )
-            if not adj(wp, v):
-                raise OracleContractViolation(
-                    f"b>0 replacement {wp!r} not adjacent to active image {v!r}"
-                )
             sides = [j for j in sorted({left_i, right_i}) if cur[j] == vp]
             j = sides[0]
             if j == right_i:
@@ -266,6 +299,10 @@ def validate(
     cur = list(loop)
     for idx, move in enumerate(certificate.moves):
         m = len(cur)
+        if not isinstance(move, (Relabel, Subdivide)):
+            return ValidationReport(False, idx, f"unknown move {move!r}")
+        if not isinstance(move.pos, int):
+            return ValidationReport(False, idx, f"move position {move.pos!r} is not an integer")
         if isinstance(move, Relabel):
             if not 0 <= move.pos < m:
                 return ValidationReport(False, idx, f"relabel position {move.pos} out of range")
@@ -279,7 +316,7 @@ def validate(
                         False, idx, f"relabel image {move.new!r} not adjacent to {u!r}"
                     )
             cur[move.pos] = move.new
-        elif isinstance(move, Subdivide):
+        else:
             if not 1 <= move.pos <= m:
                 return ValidationReport(
                     False, idx, f"subdivide position {move.pos} out of range"
@@ -291,8 +328,6 @@ def validate(
                         False, idx, f"inserted image {move.insert!r} not adjacent to {u!r}"
                     )
             cur.insert(move.pos, move.insert)
-        else:
-            return ValidationReport(False, idx, f"unknown move {move!r}")
     if cur != list(certificate.final):
         return ValidationReport(False, None, "replayed loop differs from recorded final loop")
     for v in cur:

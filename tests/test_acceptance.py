@@ -21,14 +21,9 @@ from goeritz.amalgam import (
 from goeritz.simplicial import Complex, remove_open_stars
 from goeritz.stabilizers import edge_elements, triple_elements
 from goeritz.words import (
-    _INV,
-    Primitivity,
-    ReducedWord,
-    _canonical_rotation,
-    _decode,
-    _iter_cyclically_reduced_ints,
     cyclic_reduce,
     is_primitive,
+    iter_cyclically_reduced,
     mixed_sign_criterion,
 )
 
@@ -119,45 +114,39 @@ def test_criterion_05_stabilizer_enumerations():
     )
 
 
+def _mixed_signs(word):
+    """Both x and x^-1, or both y and y^-1, occur in the word."""
+    return ("x" in word and "X" in word) or ("y" in word and "Y" in word)
+
+
 def test_criterion_06_mixed_sign_implies_whitehead_non_primitive():
     t0 = time.monotonic()
-    certified_mask = 0
     total = certified = 0
     cache = {}
-    for ints in _iter_cyclically_reduced_ints(12):
+    for w in iter_cyclically_reduced(12):
         total += 1
-        mask = 0
-        for i in ints:
-            mask |= 1 << i
-        if (mask & 0b0011) == 0b0011 or (mask & 0b1100) == 0b1100:
+        if _mixed_signs(w):
             certified += 1
-            key = _canonical_rotation(ints)
+            key = cyclic_reduce(w)
             verdict = cache.get(key)
             if verdict is None:
-                verdict = cache[key] = is_primitive(ReducedWord(_decode(ints)))
-            assert not verdict, f"counterexample: {_decode(ints)}"
-    # the fast mask must agree with the public certificate; check all
+                verdict = cache[key] = is_primitive(w)
+            assert not verdict, f"counterexample: {w}"
+    # the fast test must agree with the public certificate; check all
     # short words and a random sample of long ones
     rng = random.Random(6)
-    sample = list(_iter_cyclically_reduced_ints(6))
+    sample = list(iter_cyclically_reduced(6))
     for _ in range(2000):
         n = rng.randint(7, 12)
         while True:
-            ints = tuple(rng.randrange(4) for _ in range(n))
-            if all(b != _INV[a] for a, b in zip(ints, ints[1:])) and (
-                ints[-1] != _INV[ints[0]]
+            w = "".join("xXyY"[rng.randrange(4)] for _ in range(n))
+            if all(b != a.swapcase() for a, b in zip(w, w[1:])) and (
+                w[-1] != w[0].swapcase()
             ):
                 break
-        sample.append(ints)
-    for ints in sample:
-        mask = 0
-        for i in ints:
-            mask |= 1 << i
-        fast = (mask & 0b0011) == 0b0011 or (mask & 0b1100) == 0b1100
-        public = mixed_sign_criterion(
-            cyclic_reduce(_decode(ints))
-        ) is Primitivity.CERTIFIED_NON_PRIMITIVE
-        assert fast == public, ints
+        sample.append(w)
+    for w in sample:
+        assert _mixed_signs(w) == mixed_sign_criterion(w), w
     elapsed = time.monotonic() - t0
     assert total == 797184, total
     assert elapsed < 60.0, f"time budget exceeded: {elapsed:.2f}s"

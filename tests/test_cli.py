@@ -150,5 +150,19 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys)[0] == 2
 
 
+def test_missing_complex_file_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "simplicial", "flag", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reversed_farey_window_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "farey", "--window", "1", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0

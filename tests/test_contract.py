@@ -18,6 +18,7 @@ from goeritz.contract import (
     OracleContractViolation,
     Relabel,
     Subdivide,
+    check_blocking_answer,
     contract_loop,
     max_remoteness,
     validate,
@@ -237,6 +238,52 @@ def test_non_decreasing_blocking_value_is_caught():
         contract_loop(pent_adjacent, pent_remoteness, stuck, PENTAGON_LOOP, "0")
 
 
+# --- the blocking-contract checker ------------------------------------------
+
+# On the line fixture X = (1, 3) around v = 2: the b = 0 witness 1 is
+# adjacent to v and lower, but not adjacent to the member 3.
+def check_line(x, v, value, witness):
+    return check_blocking_answer(line_adjacent, line_remoteness, x, v, value, witness)
+
+
+def test_checker_accepts_good_answers():
+    assert check_line((1, 2), 2, 0, 1) == []
+    assert check_line((3,), 2, 3, (3, 2)) == []
+    half, one = farey.Slope(1, 2), farey.Slope(1, 1)
+    for x, v in (((one,), half), ((half, one), farey.Slope(2, 3))):
+        value, witness = farey.blocking(x, v)
+        assert check_blocking_answer(
+            farey.adjacent, farey.remoteness, x, v, value, witness
+        ) == []
+
+
+@pytest.mark.parametrize(
+    "x, v, value, witness, clause",
+    [
+        ((1,), 2, -1, 1, "negative blocking value"),
+        ((1,), 3, 0, 1, "b=0 witness 1 not adjacent to 3"),
+        ((1, 3), 2, 0, 2, "b=0 witness 2 does not lower remoteness"),
+        ((1, 3), 2, 0, 1, "b=0 witness 1 not adjacent to neighbour image 3"),
+        ((3,), 2, 3, 4, "is not a pair"),
+        ((3,), 2, 3, (1, 2), "b>0 witness member 1 is not a neighbour image"),
+        ((3,), 2, 3, (3, 3), "b>0 replacement 3 does not lower remoteness"),
+        ((3, 4), 3, 7, (3, 2), "b>0 replacement 2 misses neighbour 4 of 3"),
+        ((5,), 6, 5, (5, 4), "b>0 replacement 4 not adjacent to active image 6"),
+    ],
+)
+def test_checker_reports_each_broken_clause(x, v, value, witness, clause):
+    problems = check_line(x, v, value, witness)
+    assert len(problems) == 1, problems
+    assert clause in problems[0]
+
+
+def test_engine_raises_the_first_checker_message():
+    lying = lambda xs, v: (0, v)
+    expected = check_line((1, 1), 2, 0, 2)[0]
+    with pytest.raises(OracleContractViolation, match=expected):
+        contract_loop(line_adjacent, line_remoteness, lying, [0, 1, 2, 1], 0)
+
+
 # --- certificates -----------------------------------------------------------
 
 
@@ -282,3 +329,28 @@ def test_validate_reports_reason():
     report = validate(farey.adjacent, cert, [farey.INFINITY], farey.BASE)
     assert not report.ok
     assert report.reason
+
+
+def test_validate_reports_non_integer_positions():
+    loop = slope_loop(3)
+    for move in (Relabel("0", loop[0], loop[0]), Subdivide(None, loop[0])):
+        report = validate(farey.adjacent, HomotopyCertificate([move], loop), loop, farey.BASE)
+        assert not report.ok
+        assert report.failed_move == 0
+        assert "not an integer" in report.reason
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"final": []},
+        {"moves": []},
+        {"moves": [{"pos": 0, "insert": "inf"}], "final": []},
+        {"moves": [{"type": "subdivide", "insert": "inf"}], "final": []},
+        {"moves": [{"type": "relabel", "old": "inf", "new": "inf"}], "final": []},
+        {"moves": [7], "final": []},
+    ],
+)
+def test_certificate_json_with_missing_fields_raises_value_error(data):
+    with pytest.raises(ValueError):
+        HomotopyCertificate.from_json_dict(data, decode=farey.parse_slope)

@@ -216,6 +216,12 @@ def test_build_rejects_bad_n():
         build(0)
 
 
+def test_build_rejects_a_reversed_window():
+    with pytest.raises(ValueError):
+        build(3, window=(1, 0))
+    assert len(build(3, window=(1, 1)).vertices()) == 2  # 1/1 and infinity
+
+
 def test_verify_axioms_is_clean():
     for seed in (0, 1, 2):
         report = verify_axioms(8, 200, seed=seed)

@@ -15,18 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goeritz.words import (
-    CyclicWord,
-    Letter,
-    Primitivity,
-    ReducedWord,
     abelianize,
     cyclic_reduce,
-    format_word,
     is_primitive,
     iter_cyclically_reduced,
     mixed_sign_criterion,
     parse_word,
-    reduce,
 )
 
 ALPHABET = "xXyY"
@@ -36,15 +30,19 @@ def random_text(rng, length):
     return "".join(rng.choice(ALPHABET) for _ in range(length))
 
 
+def inverse(word):
+    return word[::-1].swapcase()
+
+
 def test_parse_format_roundtrip():
     for text in ("", "x", "xy", "xYxY", "xxxyyy"):
-        assert format_word(parse_word(text)) == text
+        assert parse_word(text) == text
 
 
 def test_parse_reduces():
-    assert format_word(parse_word("xX")) == ""
-    assert format_word(parse_word("xyYX")) == ""
-    assert format_word(parse_word("xyYx")) == "xx"
+    assert parse_word("xX") == ""
+    assert parse_word("xyYX") == ""
+    assert parse_word("xyYx") == "xx"
 
 
 def test_parse_rejects_garbage():
@@ -53,21 +51,24 @@ def test_parse_rejects_garbage():
 
 
 def test_letter_inverse():
-    for letter in (Letter("x", 1), Letter("x", -1), Letter("y", 1), Letter("y", -1)):
-        assert letter.inverse().inverse() == letter
-        assert letter.inverse() != letter
+    for letter in ALPHABET:
+        assert inverse(inverse(letter)) == letter
+        assert inverse(letter) != letter
+        # reduction pairs each letter with exactly this inverse
+        assert parse_word(letter + inverse(letter)) == ""
+        assert parse_word(letter + letter) == letter + letter
 
 
 def test_reduced_word_inverse():
     rng = random.Random(0)
     for _ in range(200):
         w = parse_word(random_text(rng, rng.randint(0, 12)))
-        assert format_word(reduce(list(w) + list(w.inverse()))) == ""
+        assert parse_word(w + inverse(w)) == ""
 
 
 def test_cyclic_reduce_strips_conjugation():
-    assert format_word(cyclic_reduce(parse_word("xxyX"))) == "xy"
-    assert format_word(cyclic_reduce(parse_word("Yxy"))) == "x"
+    assert cyclic_reduce(parse_word("xxyX")) == "xy"
+    assert cyclic_reduce(parse_word("Yxy")) == "x"
     assert len(cyclic_reduce(parse_word("xyXY"))) == 4
 
 
@@ -77,9 +78,8 @@ def test_cyclic_word_rotation_invariance():
         w = cyclic_reduce(parse_word(random_text(rng, rng.randint(1, 10))))
         if len(w) == 0:
             continue
-        letters = list(w)
-        k = rng.randrange(len(letters))
-        rotated = cyclic_reduce(reduce(letters[k:] + letters[:k]))
+        k = rng.randrange(len(w))
+        rotated = cyclic_reduce(w[k:] + w[:k])
         assert rotated == w
 
 
@@ -88,7 +88,7 @@ def test_conjugation_invariance():
     for _ in range(200):
         w = parse_word(random_text(rng, rng.randint(1, 8)))
         c = parse_word(random_text(rng, rng.randint(0, 6)))
-        conj = reduce(list(c) + list(w) + list(c.inverse()))
+        conj = parse_word(c + w + inverse(c))
         assert cyclic_reduce(conj) == cyclic_reduce(w)
 
 
@@ -102,15 +102,17 @@ def test_abelianize_is_homomorphic(s, t):
 
 
 def test_mixed_sign_examples():
-    certified = Primitivity.CERTIFIED_NON_PRIMITIVE
-    inconclusive = Primitivity.INCONCLUSIVE
-    assert mixed_sign_criterion(cyclic_reduce(parse_word("xyXY"))) is certified
-    assert mixed_sign_criterion(cyclic_reduce(parse_word("xyxY"))) is certified
-    assert mixed_sign_criterion(cyclic_reduce(parse_word("xy"))) is inconclusive
-    assert mixed_sign_criterion(cyclic_reduce(parse_word("xY"))) is inconclusive
-    assert mixed_sign_criterion(cyclic_reduce(parse_word("xxyxy"))) is inconclusive
+    assert mixed_sign_criterion(cyclic_reduce(parse_word("xyXY"))) is True
+    assert mixed_sign_criterion(cyclic_reduce(parse_word("xyxY"))) is True
+    assert mixed_sign_criterion(cyclic_reduce(parse_word("xy"))) is False
+    assert mixed_sign_criterion(cyclic_reduce(parse_word("xY"))) is False
+    assert mixed_sign_criterion(cyclic_reduce(parse_word("xxyxy"))) is False
+    # the criterion reduces cyclically itself: yxY is a conjugate of x
+    assert mixed_sign_criterion("yxY") is False
     with pytest.raises(ValueError):
         mixed_sign_criterion(cyclic_reduce(parse_word("xX")))
+    with pytest.raises(ValueError):
+        mixed_sign_criterion("yxXY")
 
 
 def christoffel(a, b):
@@ -158,16 +160,15 @@ def test_primitive_basic_examples():
 
 
 def test_primitive_matches_reference_exhaustively():
-    for letters in iter_cyclically_reduced(8):
-        w = ReducedWord(letters)
-        assert is_primitive(w) == reference_is_primitive(w), format_word(w)
+    for w in iter_cyclically_reduced(8):
+        assert is_primitive(w) == reference_is_primitive(w), w
 
 
 def test_primitive_matches_reference_on_random_long_words():
     rng = random.Random(3)
     for _ in range(300):
         w = parse_word(random_text(rng, rng.randint(9, 24)))
-        assert is_primitive(w) == reference_is_primitive(w), format_word(w)
+        assert is_primitive(w) == reference_is_primitive(w), w
 
 
 def test_primitive_invariant_under_inversion_and_conjugation():
@@ -175,31 +176,31 @@ def test_primitive_invariant_under_inversion_and_conjugation():
     for _ in range(200):
         w = parse_word(random_text(rng, rng.randint(1, 10)))
         c = parse_word(random_text(rng, rng.randint(0, 5)))
-        conj = reduce(list(c) + list(w) + list(c.inverse()))
-        assert is_primitive(w) == is_primitive(w.inverse()) == is_primitive(conj)
+        conj = parse_word(c + w + inverse(c))
+        assert is_primitive(w) == is_primitive(inverse(w)) == is_primitive(conj)
 
 
 def test_enumeration_counts_match_brute_force():
     from collections import Counter
 
-    by_length = Counter(len(letters) for letters in iter_cyclically_reduced(6))
+    by_length = Counter(len(w) for w in iter_cyclically_reduced(6))
     assert by_length[0] == 0  # the empty word is not enumerated
     for n in range(1, 7):
         assert by_length[n] == 3**n + 2 + (-1) ** n
 
 
 def test_enumeration_agrees_with_filter():
-    seen = {tuple(l.index for l in letters) for letters in iter_cyclically_reduced(4)}
+    seen = set(iter_cyclically_reduced(4))
     expected = set()
     for n in range(1, 5):
         for code in range(4**n):
-            digits = tuple((code // 4**i) % 4 for i in range(n))
-            w = parse_word("".join(ALPHABET[d] for d in digits))
+            text = "".join(ALPHABET[(code // 4**i) % 4] for i in range(n))
+            w = parse_word(text)
             if len(w) == n:
                 cyc = cyclic_reduce(w)
-                if len(cyc) == n and tuple(l.index for l in w) == digits:
-                    expected.add(digits)
-    # enumeration yields one tuple per word, not one per conjugacy class
+                if len(cyc) == n and w == text:
+                    expected.add(text)
+    # enumeration yields one string per word, not one per conjugacy class
     assert seen == expected
 
 
@@ -207,9 +208,18 @@ def test_enumeration_agrees_with_filter():
 @settings(max_examples=300)
 def test_reduction_is_idempotent(s):
     w = parse_word(s)
-    assert reduce(list(w)) == w
+    assert parse_word(w) == w
 
 
-def test_cyclic_word_requires_canonical_input():
-    with pytest.raises(ValueError):
-        CyclicWord((Letter("x", 1), Letter("x", -1)))
+def test_cyclic_reduce_returns_canonical_rotation():
+    assert cyclic_reduce("xX") == ""
+    rng = random.Random(5)
+    for _ in range(200):
+        w = cyclic_reduce(random_text(rng, rng.randint(1, 12)))
+        if not w:
+            continue
+        # cyclically reduced, including across the wrap-around ...
+        assert all(b != inverse(a) for a, b in zip(w, w[1:] + w[0]))
+        # ... and the least rotation under x < x^-1 < y < y^-1
+        rotations = [w[k:] + w[:k] for k in range(len(w))]
+        assert w == min(rotations, key=lambda r: [ALPHABET.index(ch) for ch in r])
