@@ -13,18 +13,22 @@ every group element has a unique expression
 
 where h lies in the edge stabilizer and the c_i are nontrivial
 transversal representatives alternating between the two sides.  We call
-the c_i syllables.  Words are rewritten right to left: the normal form
-of a suffix is maintained and each new letter is multiplied on from the
-left.  A letter merges with the leading syllable of its own side, the
-merge is re-split into transversal a part and an edge-stabilizer part, and
-the edge-stabilizer part is pushed rightwards into the tail using the
-exchange rules
+the c_i syllables and h the tail.  Words are rewritten left to right:
+the element so far is multiplied on the right by one stabilizer factor
+per letter.  The tail already sits at the right end, so the factor
+joins it inside its own stabilizer by the exchange rules (t and a are
+central)
 
-    g . b^k = b^k . t^k g      g . d^m = d^(-m) . g
+    t^a g^c . b^k = b^k . t^(a+ck) g^c
+    g^c a^e . d^m = d^((-1)^c m) . g^c a^e
 
-with t and a central.  Pushing never trivializes a syllable, so the
-alternating shape survives and equality of group elements is literal
-equality of normal forms.
+the product merges with the last syllable when that lies on the same
+side, and it splits again into a transversal power (the new last
+syllable, if nontrivial) and a new tail.  Nothing is pushed through the
+syllables, so each letter costs O(1) and a word of n letters O(n).
+Products and inverses of normal forms run the same loop over syllables.
+The alternating shape survives every step, so equality of group
+elements is literal equality of normal forms.
 
 Input words use one character per generator: b/B for the pair-side
 generator and its inverse, g for the common involution, d/D for the
@@ -36,18 +40,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .stabilizers import (
-    EDGE_IDENTITY,
-    EdgeStabilizer,
-    PairStabilizer,
-    TripleStabilizer,
-)
+from .stabilizers import EDGE_IDENTITY, EdgeStabilizer
 
 __all__ = [
     "GENERATOR_ALPHABET",
     "Syllable",
     "NormalForm",
+    "check_alternating",
     "IDENTITY_NF",
     "parse",
     "invert_word",
@@ -122,6 +123,13 @@ class Syllable:
         return f"{self.factor}({letter}^{self.power})"
 
 
+def check_alternating(syllables: tuple[Syllable, ...]) -> None:
+    """Raise ValueError unless neighbouring syllables lie on different sides."""
+    for left, right in zip(syllables, syllables[1:]):
+        if left.factor == right.factor:
+            raise ValueError(f"syllables do not alternate: {left} {right}")
+
+
 @dataclass(frozen=True, slots=True)
 class NormalForm:
     """Alternating syllables followed by an edge-stabilizer tail."""
@@ -130,9 +138,7 @@ class NormalForm:
     tail: EdgeStabilizer = EDGE_IDENTITY
 
     def __post_init__(self) -> None:
-        for left, right in zip(self.syllables, self.syllables[1:]):
-            if left.factor == right.factor:
-                raise ValueError(f"syllables do not alternate: {left} {right}")
+        check_alternating(self.syllables)
 
     def is_identity(self) -> bool:
         return not self.syllables and self.tail.is_identity()
@@ -146,61 +152,44 @@ class NormalForm:
 IDENTITY_NF = NormalForm()
 
 
-def _push(
-    he: EdgeStabilizer, syllables: tuple[Syllable, ...], tail: EdgeStabilizer
-) -> tuple[tuple[Syllable, ...], EdgeStabilizer]:
-    # slide an edge-stabilizer element rightwards across the syllables
-    if he.g == 0:
-        # t/a is central in both factors: nothing changes on the way
-        return syllables, (tail if he.a == 0 else he * tail)
-    a_bit = he.a
-    out = []
-    for s in syllables:
-        if s.factor == "P":
-            a_bit = (a_bit + s.power) % 2  # g b^k = b^k t^k g
-            out.append(s)
-        else:
-            out.append(Syllable("Q", (-s.power) % 3))  # g d^m = d^-m g
-    return tuple(out), EdgeStabilizer(1, a_bit) * tail
-
-
-def _mul_pair_left(elem: PairStabilizer, nf: NormalForm) -> NormalForm:
-    syllables = nf.syllables
-    if syllables and syllables[0].factor == "P":
-        combined = elem * PairStabilizer(syllables[0].power, 0, 0)
-        rest = syllables[1:]
-    else:
-        combined = elem
-        rest = syllables
-    k, he = combined.decompose()
-    rest, tail = _push(he, rest, nf.tail)
-    if k != 0:
-        rest = (Syllable("P", k),) + rest
-    return NormalForm(rest, tail)
-
-
-def _mul_triple_left(elem: TripleStabilizer, nf: NormalForm) -> NormalForm:
-    syllables = nf.syllables
-    if syllables and syllables[0].factor == "Q":
-        combined = elem * TripleStabilizer(syllables[0].power, 0, 0)
-        rest = syllables[1:]
-    else:
-        combined = elem
-        rest = syllables
-    m, he = combined.decompose()
-    rest, tail = _push(he, rest, nf.tail)
-    if m != 0:
-        rest = (Syllable("Q", m),) + rest
-    return NormalForm(rest, tail)
-
-
-_LETTER_ACTION = {
-    "b": ("P", PairStabilizer(1, 0, 0)),
-    "B": ("P", PairStabilizer(-1, 0, 0)),
-    "g": ("P", PairStabilizer(0, 0, 1)),
-    "d": ("Q", TripleStabilizer(1, 0, 0)),
-    "D": ("Q", TripleStabilizer(2, 0, 0)),
+# the stabilizer factor of each letter as (side, power, a bit, g bit):
+# b^power t^a g^g on the pair side "P", d^power g^g a^a on the triple side "Q"
+_LETTER_FACTOR = {
+    "b": ("P", 1, 0, 0),
+    "B": ("P", -1, 0, 0),
+    "g": ("P", 0, 0, 1),
+    "d": ("Q", 1, 0, 0),
+    "D": ("Q", 2, 0, 0),
 }
+
+
+def _multiply(
+    syllables: list[tuple[str, int]], g: int, a: int, factors: Iterable[tuple]
+) -> NormalForm:
+    # right-multiply the element syllables . g^g a^a by each factor in
+    # turn; syllables are (side, power) pairs and the list is consumed
+    for side, power, a_bit, g_bit in factors:
+        # the factor joins the tail inside its own stabilizer
+        if side == "P":
+            # t^a g^c . b^k = b^k t^(a+ck) g^c, and power & g is ck mod 2
+            a ^= a_bit ^ (power & g)
+        else:
+            a ^= a_bit
+            if g:
+                power = -power  # g^c a^e . d^m = d^-m g^c a^e
+        g ^= g_bit
+        if power:
+            # the transversal part merges with a last syllable of its side
+            if syllables and syllables[-1][0] == side:
+                power += syllables.pop()[1]
+            if side == "Q":
+                power %= 3
+            if power:
+                syllables.append((side, power))
+    return NormalForm(
+        tuple([Syllable(side, power) for side, power in syllables]),
+        EdgeStabilizer(g, a),
+    )
 
 
 def normal_form(word: str) -> NormalForm:
@@ -211,33 +200,22 @@ def normal_form(word: str) -> NormalForm:
     >>> normal_form("gg").is_identity()
     True
     """
-    nf = IDENTITY_NF
-    for ch in reversed(parse(word)):
-        side, elem = _LETTER_ACTION[ch]
-        nf = _mul_pair_left(elem, nf) if side == "P" else _mul_triple_left(elem, nf)
-    return nf
+    return _multiply([], 0, 0, map(_LETTER_FACTOR.__getitem__, parse(word)))
 
 
 def mul_nf(u: NormalForm, v: NormalForm) -> NormalForm:
     """Product of two normal forms."""
-    result = _mul_pair_left(u.tail.in_pair(), v)
-    for s in reversed(u.syllables):
-        if s.factor == "P":
-            result = _mul_pair_left(PairStabilizer(s.power, 0, 0), result)
-        else:
-            result = _mul_triple_left(TripleStabilizer(s.power, 0, 0), result)
-    return result
+    factors = [(s.factor, s.power, 0, 0) for s in v.syllables]
+    factors.append(("P", 0, v.tail.a, v.tail.g))
+    syllables = [(s.factor, s.power) for s in u.syllables]
+    return _multiply(syllables, u.tail.g, u.tail.a, factors)
 
 
 def inv_nf(u: NormalForm) -> NormalForm:
     """Inverse of a normal form."""
-    result = IDENTITY_NF
-    for s in u.syllables:
-        if s.factor == "P":
-            result = _mul_pair_left(PairStabilizer(-s.power, 0, 0), result)
-        else:
-            result = _mul_triple_left(TripleStabilizer((-s.power) % 3, 0, 0), result)
-    return _mul_pair_left(u.tail.inverse().in_pair(), result)
+    # every edge-stabilizer element, u.tail among them, is its own inverse
+    factors = ((s.factor, -s.power, 0, 0) for s in reversed(u.syllables))
+    return _multiply([], u.tail.g, u.tail.a, factors)
 
 
 def are_equal(u: str, v: str) -> bool:

@@ -102,8 +102,15 @@ def _cmd_primitive(args: argparse.Namespace) -> int:
     return 0 if primitive else 1
 
 
+def _ball(args: argparse.Namespace) -> tree.TreeBall:
+    try:
+        return tree.ball(args.radius, args.max_power)
+    except RuntimeError as exc:  # the vertex cap: too large a request
+        raise ValueError(str(exc)) from None
+
+
 def _cmd_tree(args: argparse.Namespace) -> int:
-    b = tree.ball(args.radius, args.max_power)
+    b = _ball(args)
     good = tree.is_tree(b)
     if args.dot:
         Path(args.dot).write_text(tree.to_dot(b))
@@ -128,7 +135,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_quotient(args: argparse.Namespace) -> int:
-    b = tree.ball(args.radius, args.max_power)
+    b = _ball(args)
     report = tree.quotient(b, witness_samples=args.witnesses)
     lines = [
         f"quotient vertices: {', '.join(report.vertices)}",

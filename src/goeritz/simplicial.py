@@ -228,9 +228,16 @@ class Complex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Complex":
-        if "max_simplices" not in data:
+        if not isinstance(data, dict) or "max_simplices" not in data:
             raise ValueError('expected a "max_simplices" key')
-        return cls(data["max_simplices"])
+        simplices = data["max_simplices"]
+        # JSON lists and objects are unhashable, so they cannot be labels
+        if not isinstance(simplices, list) or not all(
+            isinstance(s, list) and not any(isinstance(v, (list, dict)) for v in s)
+            for s in simplices
+        ):
+            raise ValueError('"max_simplices" must be a list of lists of labels')
+        return cls(simplices)
 
     @classmethod
     def from_json(cls, text: str) -> "Complex":

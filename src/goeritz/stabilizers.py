@@ -2,8 +2,9 @@
 
 The genus-2 Goeritz group decomposes as an amalgamated free product of
 two vertex stabilizers over an edge stabilizer.  All three have exact
-normal forms on small integer data, worked out here once and reused by
-the rewriting engine in :mod:`goeritz.amalgam`.
+normal forms on small integer data, worked out here once.  The
+rewriting loop in :mod:`goeritz.amalgam` applies the two exchange rules
+below to plain ints instead of building these objects.
 
 Pair stabilizer  (infinite):
     generated by b and the involution g, with the central involution

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .amalgam import NormalForm, Syllable, mul_nf, nf_to_word, normal_form
+from .amalgam import NormalForm, Syllable, check_alternating, mul_nf, nf_to_word, normal_form
 
 __all__ = [
     "PAIR",
@@ -49,12 +49,6 @@ PAIR = "pair"
 TRIPLE = "triple"
 
 
-def _check_alternating(syllables: tuple[Syllable, ...]) -> None:
-    for left, right in zip(syllables, syllables[1:]):
-        if left.factor == right.factor:
-            raise ValueError(f"syllables do not alternate: {left} {right}")
-
-
 @dataclass(frozen=True, slots=True)
 class CosetVertex:
     """A coset of the pair or triple stabilizer, canonically named."""
@@ -65,7 +59,7 @@ class CosetVertex:
     def __post_init__(self) -> None:
         if self.kind not in (PAIR, TRIPLE):
             raise ValueError(f"unknown vertex kind {self.kind!r}")
-        _check_alternating(self.rep)
+        check_alternating(self.rep)
         own = "P" if self.kind == PAIR else "Q"
         if self.rep and self.rep[-1].factor == own:
             raise ValueError("representative not canonical for this kind")
@@ -81,7 +75,7 @@ class TreeEdge:
     rep: tuple[Syllable, ...]
 
     def __post_init__(self) -> None:
-        _check_alternating(self.rep)
+        check_alternating(self.rep)
 
     def __str__(self) -> str:
         return f"edge[{_rep_label(self.rep)}]"
@@ -179,8 +173,8 @@ def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
                         seen_v.add(w)
                         vertices.append(w)
                         next_frontier.append(w)
-        if len(vertices) > cap:
-            raise RuntimeError(f"ball exceeded vertex cap {cap}")
+            if len(vertices) > cap:
+                raise RuntimeError(f"ball exceeded vertex cap {cap}")
         frontier = next_frontier
     return TreeBall(radius, max_power, vertices, edges)
 

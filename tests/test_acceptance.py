@@ -9,9 +9,11 @@ reproducible run to run.
 import random
 import time
 
+from finite_quotients import TABLES, image
 from goeritz import contract, farey, tree
 from goeritz.amalgam import (
-    are_equal,
+    inv_nf,
+    mul_nf,
     normal_form,
     parse,
     random_consequence,
@@ -50,16 +52,19 @@ def test_criterion_02_soundness_and_separation():
         cut = rng.randint(0, len(w))
         padded = w[:cut] + random_consequence(rng, max_len=80) + w[cut:]
         assert normal_form(w) == normal_form(padded), (w, padded)
+        assert image(w) == image(padded), (w, padded)
     distinct = 0
     while distinct < 1000:
         u = random_word(rng, rng.randint(0, 14))
         v = random_word(rng, rng.randint(0, 14))
         if normal_form(u) != normal_form(v):
-            assert not are_equal(u, v), (u, v)
+            # some finite quotient must tell the two elements apart
+            assert image(u) != image(v), (u, v)
             distinct += 1
     print(
-        "[criterion 2] PASS: 1000 relator-padded pairs agree, "
-        "1000 distinct-normal-form pairs separate"
+        "[criterion 2] PASS: 1000 relator-padded pairs agree (normal forms "
+        f"and {len(TABLES)} finite quotients), 1000 distinct-normal-form "
+        "pairs separate in a finite quotient"
     )
 
 
@@ -207,3 +212,20 @@ def test_criterion_10_truncated_complexes_are_flag():
     for n in range(1, 31):
         assert farey.build(n).is_flag(), n
     print("[criterion 10] PASS: build(n) is flag for every n <= 30")
+
+
+def test_criterion_11_word_problem_is_linear_time():
+    # 48k letters: the former right-to-left rewriter needed over 300 s
+    # on the alternating word, so only a linear-time rewriter meets this
+    rng = random.Random(11)
+    letters = 48_000
+    t0 = time.monotonic()
+    for word in ("bdg" * (letters // 3), random_word(rng, letters)):
+        u = normal_form(word)
+        assert mul_nf(u, inv_nf(u)).is_identity()
+    elapsed = time.monotonic() - t0
+    assert elapsed < 5.0, f"time budget exceeded: {elapsed:.2f}s"
+    print(
+        f"[criterion 11] PASS: normal form, inverse and product of a {letters}-letter "
+        f"(bdg)^k word and a {letters}-letter random word in {elapsed:.2f}s (< 5s)"
+    )

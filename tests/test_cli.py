@@ -164,5 +164,22 @@ def test_reversed_farey_window_is_a_usage_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_ball_over_the_vertex_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "tree", "--radius", "12", "--max-power", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: ball exceeded vertex cap 100000\n"
+
+
+def test_malformed_complex_file_is_a_usage_error(capsys, tmp_path):
+    source = tmp_path / "complex.json"
+    for text in ('{"max_simplices": [[[1,2],3]]}', '{"max_simplices": 5}', "5"):
+        source.write_text(text)
+        code, out, err = run(capsys, "simplicial", "flag", str(source))
+        assert code == 2, text
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
