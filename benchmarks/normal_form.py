@@ -55,7 +55,7 @@ def _best_of(func, word: str) -> float:
     return best
 
 
-def _cpu_model() -> str:
+def cpu_model() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
             if line.startswith("model name"):
@@ -65,7 +65,7 @@ def _cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
-def _git_rev() -> str:
+def git_rev() -> str:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -80,7 +80,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_normal_form.json"))
     args = parser.parse_args()
-    rev, python = _git_rev(), platform.python_version()
+    rev, python = git_rev(), platform.python_version()
     layers = (
         ("amalgam", amalgam.normal_form, LADDER),
         ("amalgam_reference", amalgam_reference.normal_form,
@@ -101,7 +101,7 @@ def main() -> None:
                 previous = seconds
     host = {
         "machine": platform.machine(),
-        "cpu": _cpu_model(),
+        "cpu": cpu_model(),
         "cpus": os.cpu_count(),
         "system": platform.system(),
         "repeats": REPEATS,

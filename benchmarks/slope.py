@@ -1,0 +1,156 @@
+"""Size ladders for the slope fixture: `contract.contract_loop`,
+`farey.build` and `farey.verify_axioms` time against size.
+
+    python benchmarks/slope.py [--out BENCH_slope.json]
+
+contract_loop runs on based loops of 100, 200, ..., 1600 positions, each
+the concatenation of seeded 50-position `farey.random_based_loop`
+segments (the shape the benchmark's slope_fixture workload uses);
+build(n) and verify_axioms(n, 200, seed) run at n = 16, 32, 64, 128.
+Each rung is timed as the minimum of three repeats with
+`time.perf_counter`, and one more untimed run counts the oracle calls.
+The rows for layer "slope" time the package in src/; the rows for layer
+"slope_reference" time the former pair-scanning and recompute-every-move
+code kept in tests/slope_reference.py, on the rungs up to REFERENCE_MAX.
+The printed exponent is log2 of the time ratio between rungs; for
+build and verify_axioms a rung doubles n and so about quadruples the
+vertex count, so linear work there shows as exponent about 2.
+
+Stdlib only.  Writes a JSON object {"host": {...}, "records": [...]}
+with one record {layer, op, n, seconds, counters, git_rev, python} per
+rung.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import random
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import slope_reference  # noqa: E402
+from goeritz import contract, farey  # noqa: E402
+from normal_form import cpu_model, git_rev  # noqa: E402
+
+LOOP_LADDER = (100, 200, 400, 800, 1600)  # positions
+FAREY_LADDER = (16, 32, 64, 128)  # max denominator
+SEGMENT = 50
+AXIOM_SAMPLES = 200
+REFERENCE_MAX = {"contract_loop": 1600, "build": 64, "verify_axioms": 64}
+REPEATS = 3
+SEED = 0
+IMPLEMENTATIONS = {
+    "slope": (contract.contract_loop, farey.build, farey.verify_axioms),
+    "slope_reference": (slope_reference.contract_loop, slope_reference.build,
+                        slope_reference.verify_axioms),
+}
+
+
+def _loop(positions: int) -> list:
+    rng = random.Random(SEED + positions)
+    loop: list = []
+    for _ in range(positions // SEGMENT):
+        loop += farey.random_based_loop(rng.randrange(1 << 30), 50, SEGMENT - 3, SEGMENT - 3)
+    return loop
+
+
+def _counted(calls: Counter, name: str, oracle):
+    def wrapper(*args):
+        calls[name] += 1
+        return oracle(*args)
+    return wrapper
+
+
+def _contract_counters(contract_loop, loop: list) -> dict:
+    calls: Counter = Counter()
+    oracles = [
+        _counted(calls, name, oracle)
+        for name, oracle in (("adjacent", farey.adjacent), ("remoteness", farey.remoteness),
+                             ("blocking", farey.blocking))
+    ]
+    cert = contract_loop(*oracles, loop, farey.BASE)
+    moves = len(cert.moves)
+    return {
+        "positions": len(loop),
+        "moves": moves,
+        "oracle_calls": dict(sorted(calls.items())),
+        "remoteness_calls_per_move": calls["remoteness"] / max(moves, 1),
+    }
+
+
+def _ops(contract_loop, build, verify_axioms):
+    """(op, ladder, run(n), counters(n)) for one implementation."""
+    loops = {n: _loop(n) for n in LOOP_LADDER}
+
+    def build_counters(n):
+        k = build(n)
+        return {"vertices": len(k.simplices(0)), "edges": len(k.simplices(1)),
+                "triangles": len(k.simplices(2))}
+
+    def axiom_counters(n):
+        report = verify_axioms(n, AXIOM_SAMPLES, SEED)
+        return {"samples": report.samples, "violations": len(report.violations)}
+
+    return (
+        ("contract_loop", LOOP_LADDER,
+         lambda n: contract_loop(farey.adjacent, farey.remoteness, farey.blocking,
+                                 loops[n], farey.BASE),
+         lambda n: _contract_counters(contract_loop, loops[n])),
+        ("build", FAREY_LADDER, build, build_counters),
+        ("verify_axioms", FAREY_LADDER,
+         lambda n: verify_axioms(n, AXIOM_SAMPLES, SEED), axiom_counters),
+    )
+
+
+def _best_of(run, n: int) -> float:
+    best = math.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        run(n)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_slope.json"))
+    args = parser.parse_args()
+    rev, python = git_rev(), platform.python_version()
+    records = []
+    for layer, functions in IMPLEMENTATIONS.items():
+        for op, ladder, run, counters in _ops(*functions):
+            previous = None
+            for n in ladder:
+                if layer == "slope_reference" and n > REFERENCE_MAX[op]:
+                    continue
+                seconds = _best_of(run, n)
+                records.append({
+                    "layer": layer, "op": op, "n": n, "seconds": seconds,
+                    "counters": counters(n), "git_rev": rev, "python": python,
+                })
+                exponent = "" if previous is None else f"  exponent {math.log2(seconds / previous):.2f}"
+                print(f"{layer:<16} {op:<14} n={n:>5}  {seconds * 1e3:10.2f} ms{exponent}")
+                previous = seconds
+    host = {
+        "machine": platform.machine(),
+        "cpu": cpu_model(),
+        "cpus": os.cpu_count(),
+        "system": platform.system(),
+        "repeats": REPEATS,
+        "timer": "time.perf_counter, minimum over repeats",
+    }
+    Path(args.out).write_text(json.dumps({"host": host, "records": records}, indent=1) + "\n")
+    print(f"wrote {len(records)} records to {args.out}")
+
+
+if __name__ == "__main__":
+    main()

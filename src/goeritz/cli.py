@@ -247,22 +247,23 @@ def _cmd_simplicial(args: argparse.Namespace) -> int:
 
 def _cmd_farey(args: argparse.Namespace) -> int:
     complex_ = farey.build(args.n, tuple(args.window))
+    vertices, edges, triangles = (len(complex_.simplices(d)) for d in (0, 1, 2))
+    flag, connected = complex_.is_flag(), complex_.is_connected()
     lines = [
         f"build({args.n}, window={tuple(args.window)}): "
-        f"{len(complex_.vertices())} vertices, {len(complex_.simplices(1))} edges, "
-        f"{len(complex_.simplices(2))} triangles",
-        f"flag: {str(complex_.is_flag()).lower()}",
-        f"connected: {str(complex_.is_connected()).lower()}",
+        f"{vertices} vertices, {edges} edges, {triangles} triangles",
+        f"flag: {str(flag).lower()}",
+        f"connected: {str(connected).lower()}",
     ]
     payload = {
         "claim": "the truncated slope complex is a connected flag complex",
         "n": args.n,
         "window": list(args.window),
-        "vertices": len(complex_.vertices()),
-        "edges": len(complex_.simplices(1)),
-        "triangles": len(complex_.simplices(2)),
-        "is_flag": complex_.is_flag(),
-        "is_connected": complex_.is_connected(),
+        "vertices": vertices,
+        "edges": edges,
+        "triangles": triangles,
+        "is_flag": flag,
+        "is_connected": connected,
     }
     code = 0
     if args.verify_axioms:

@@ -28,6 +28,12 @@ and is asserted at runtime.  The engine stops as soon as every image is
 adjacent to the base vertex, i.e. the loop lies in the base star; a
 loop in the star of a vertex of a flag complex is null-homotopic.
 
+Oracles are pure, so the engine keeps the remoteness of every position
+and the number of positions outside the base star, computed once for
+the input loop and updated per move at the one position that changes:
+a move costs a constant number of oracle calls plus C-level list scans
+(max, index, count, insert), not one remoteness call per position.
+
 Every run returns a replayable certificate.  Oracle answers are checked
 against the contract above; a bad answer raises
 OracleContractViolation rather than producing a bogus certificate.
@@ -228,13 +234,14 @@ def contract_loop(
         # oracles are pure, so the active image v still has remoteness n
         return n if u == v else remote_checked(u)
 
+    # kept per position: oracles are pure, so only an image that enters
+    # the loop needs an oracle call
+    rs = [remote_checked(v) for v in cur]
+    off_star = sum(not adj(v, base) for v in cur)
     moves: list = []
     prev_measure: tuple[int, int, int] | None = None
-    while True:
+    while off_star:
         m = len(cur)
-        rs = [remote_checked(v) for v in cur]
-        if all(adj(v, base) for v in cur):
-            return HomotopyCertificate(moves, list(cur))
         n = max(rs)
         i = rs.index(n)
         v = cur[i]
@@ -258,6 +265,8 @@ def contract_loop(
         if value == 0:
             moves.append(Relabel(i, v, witness))
             cur[i] = witness
+            rs[i] = remote_checked(witness)
+            off_star += (not adj(witness, base)) - (not adj(v, base))
         else:
             vp, wp = witness
             sides = [j for j in sorted({left_i, right_i}) if cur[j] == vp]
@@ -268,6 +277,9 @@ def contract_loop(
                 insert_at = i if i > 0 else m  # slot between the left neighbour and i
             moves.append(Subdivide(insert_at, wp))
             cur.insert(insert_at, wp)
+            rs.insert(insert_at, remote_checked(wp))
+            off_star += not adj(wp, base)
+    return HomotopyCertificate(moves, list(cur))
 
 
 @dataclass

@@ -11,12 +11,15 @@ computed from the mediant structure.
 Everything rests on one fact about the Farey graph: the neighbours of
 p/q with a strictly smaller denominator are exactly the two
 Stern-Brocot parents, the unique adjacent pair (a, b) with a + b = p/q
-componentwise.  Both witness searches below therefore only ever look at
-parents, and the search cannot fail: if no parent of v with smaller
-denominator works, then some member of X has a denominator strictly
-above q(v), so the maximal-remoteness member v' has v itself as a
-parent, and w' = v is an admissible replacement (every member of X is
-adjacent to v already).
+componentwise (for an integer n/1 they are infinity and (n-1)/1).  So
+every edge joins a vertex to a parent and every triangle is a vertex
+with both its parents, which is how build() finds them in linear work.
+Both witness searches below likewise only ever look at parents, and
+the search cannot fail: if no parent of v with smaller denominator
+works, then some member of X has a denominator strictly above q(v), so
+the maximal-remoteness member v' has v itself as a parent, and w' = v
+is an admissible replacement (every member of X is adjacent to v
+already).
 
 This module is an analogue used as an engine fixture, not a model of
 the disk complex the rest of the package is about.
@@ -204,6 +207,10 @@ def build(n: int, window: tuple[int, int] = (0, 1)) -> Complex:
     """Truncated Farey complex: slopes with denominator at most n and
     value inside the window, plus infinity.
 
+    Edges and triangles come from one parents() call per vertex (see the
+    module docstring); a simplex is kept when the window keeps all of
+    its vertices.
+
     >>> sorted(str(v) for v in build(1).vertices())
     ['0/1', '1/1', 'inf']
     """
@@ -220,21 +227,16 @@ def build(n: int, window: tuple[int, int] = (0, 1)) -> Complex:
             if gcd(abs(p), q) == 1:
                 verts.append(Slope(p, q))
     verts = sorted(set(verts))
-    nbrs: dict[Slope, set[Slope]] = {u: set() for u in verts}
+    present = set(verts)
     simplices: list[tuple] = [(u,) for u in verts]
-    for i, u in enumerate(verts):
-        for w in verts[i + 1 :]:
-            if det_intersection(u, w) == 1:
-                nbrs[u].add(w)
-                nbrs[w].add(u)
-                simplices.append((u, w))
-    for u in verts:
-        for w in sorted(nbrs[u]):
-            if not u < w:
-                continue
-            for z in sorted(nbrs[u] & nbrs[w]):
-                if w < z:
-                    simplices.append((u, w, z))
+    for w in verts[1:]:  # verts[0] is infinity, which has no parents
+        a, b = parents(w)
+        if a in present:
+            simplices.append((a, w))
+        if b in present:
+            simplices.append((b, w))
+            if a in present:
+                simplices.append((a, b, w))
     return Complex(simplices)
 
 
@@ -263,7 +265,11 @@ def verify_axioms(n: int = 10, samples: int = 500, seed: int = 0) -> AxiomReport
         if remoteness(u) == 0 and not adjacent(u, BASE):
             report.violations.append(f"remoteness 0 at {u} outside the base star")
     positive = [u for u in verts if remoteness(u) > 0]
-    stars = {u: sorted(w for w in verts if adjacent(w, u)) for u in positive}
+    near: dict[Slope, list[Slope]] = {u: [u] for u in verts}
+    for u, w in complex_.simplices(1):
+        near[u].append(w)
+        near[w].append(u)
+    stars = {u: sorted(near[u]) for u in positive}
     rng = random.Random(seed)
     for _ in range(samples):
         v = rng.choice(positive)

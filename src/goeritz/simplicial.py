@@ -79,12 +79,10 @@ class Complex:
         return max((len(s) for s in self._simplices), default=0) - 1
 
     def maximal_simplices(self) -> list[tuple]:
-        out = [
-            s
-            for s in self._simplices
-            if not any(s < t for t in self._simplices)
-        ]
-        tuples = [_label_sorted(s) for s in out]
+        # the family is downward closed, so a simplex that is a proper
+        # face of another is a facet (one vertex fewer) of some simplex
+        faces = {s - {v} for s in self._simplices if len(s) > 1 for v in s}
+        tuples = [_label_sorted(s) for s in self._simplices if s not in faces]
         try:
             return sorted(tuples)
         except TypeError:
@@ -231,12 +229,15 @@ class Complex:
         if not isinstance(data, dict) or "max_simplices" not in data:
             raise ValueError('expected a "max_simplices" key')
         simplices = data["max_simplices"]
-        # JSON lists and objects are unhashable, so they cannot be labels
+        # only strings and integers (type(True) is bool): true == 1 == 1.0
+        # would silently merge labels, and lists and objects are unhashable
         if not isinstance(simplices, list) or not all(
-            isinstance(s, list) and not any(isinstance(v, (list, dict)) for v in s)
+            isinstance(s, list) and all(type(v) in (str, int) for v in s)
             for s in simplices
         ):
-            raise ValueError('"max_simplices" must be a list of lists of labels')
+            raise ValueError(
+                '"max_simplices" must be a list of lists of labels (strings or integers)'
+            )
         return cls(simplices)
 
     @classmethod

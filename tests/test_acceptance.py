@@ -8,6 +8,7 @@ reproducible run to run.
 
 import random
 import time
+from math import gcd
 
 from finite_quotients import TABLES, image
 from goeritz import contract, farey, tree
@@ -228,4 +229,34 @@ def test_criterion_11_word_problem_is_linear_time():
     print(
         f"[criterion 11] PASS: normal form, inverse and product of a {letters}-letter "
         f"(bdg)^k word and a {letters}-letter random word in {elapsed:.2f}s (< 5s)"
+    )
+
+
+def test_criterion_12_slope_fixture_is_linear_work():
+    # the former pair scans took about 21 s for build(128) with its axioms,
+    # and the former engine 2.8 s for this loop (2-vCPU Xeon, Python 3.11)
+    t0 = time.monotonic()
+    complex_ = farey.build(128)
+    report = farey.verify_axioms(128, 200, 0)
+    farey_elapsed = time.monotonic() - t0
+    assert report.ok, report.violations[:5]
+    assert len(complex_.vertices()) == 1 + sum(
+        1 for q in range(1, 129) for p in range(q + 1) if gcd(p, q) == 1
+    )
+    assert farey_elapsed < 5.0, f"time budget exceeded: {farey_elapsed:.2f}s"
+    rng = random.Random(12)
+    loop = []
+    while len(loop) < 1600:
+        loop += farey.random_based_loop(rng.randrange(1 << 30), 50, 47, 47)
+    t0 = time.monotonic()
+    certificate = contract.contract_loop(
+        farey.adjacent, farey.remoteness, farey.blocking, loop, farey.BASE
+    )
+    loop_elapsed = time.monotonic() - t0
+    assert contract.validate(farey.adjacent, certificate, loop, farey.BASE).ok
+    assert loop_elapsed < 2.0, f"time budget exceeded: {loop_elapsed:.2f}s"
+    print(
+        f"[criterion 12] PASS: build(128) and verify_axioms(128, 200) in "
+        f"{farey_elapsed:.2f}s (< 5s); {len(loop)}-position loop contracted "
+        f"({len(certificate.moves)} moves) in {loop_elapsed:.2f}s (< 2s)"
     )

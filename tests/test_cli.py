@@ -183,3 +183,14 @@ def test_malformed_complex_file_is_a_usage_error(capsys, tmp_path):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_complex_labels_that_python_would_merge_are_a_usage_error(capsys, tmp_path):
+    source = tmp_path / "complex.json"
+    for text in ('{"max_simplices": [[true, 1, 2]]}', '{"max_simplices": [[1, 1.0]]}'):
+        source.write_text(text)
+        for action in ("flag", "barycentric"):
+            code, out, err = run(capsys, "simplicial", action, str(source))
+            assert code == 2, text
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,10 +1,14 @@
 """Dimension <= 2 simplicial complexes: closure, star, link, flag test,
 barycentric subdivision and open-star removal."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goeritz import farey
 from goeritz.simplicial import Complex, remove_open_stars
 
 TRIANGLE = Complex([("a", "b", "c")])
@@ -39,6 +43,24 @@ def test_from_maximal_and_maximal_simplices():
     k = Complex.from_maximal([("a", "b", "c"), ("c", "d")])
     assert k.has(("a", "c"))
     assert k.maximal_simplices() == [("a", "b", "c"), ("c", "d")]
+
+
+def _brute_force_maximal(k):
+    simplices = k.simplices()
+    return sorted(tuple(sorted(s)) for s in simplices if not any(s < t for t in simplices))
+
+
+@given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=3), max_size=25))
+@settings(max_examples=200)
+def test_maximal_simplices_match_a_pair_scan(raw):
+    k = Complex(raw)
+    assert k.maximal_simplices() == _brute_force_maximal(k)
+
+
+def test_maximal_simplices_json_of_a_subdivided_slope_complex():
+    k = farey.build(16).barycentric()
+    expected = {"max_simplices": [[str(v) for v in s] for s in _brute_force_maximal(k)]}
+    assert k.to_json() == json.dumps(expected, indent=2, sort_keys=True)
 
 
 def test_adjacent_includes_equality():
@@ -152,6 +174,15 @@ def test_json_roundtrip():
 def test_json_rejects_malformed_input():
     with pytest.raises((ValueError, KeyError)):
         Complex.from_json('{"wrong": []}')
+
+
+@pytest.mark.parametrize("label", ["true", "false", "1.0", "2.5", "null"])
+def test_json_labels_are_strings_or_integers(label):
+    # true == 1 == 1.0 in Python, so such labels would silently merge
+    with pytest.raises(ValueError):
+        Complex.from_json(f'{{"max_simplices": [[{label}, 1, 2]]}}')
+    k = Complex.from_json('{"max_simplices": [["1", 1, 2], [-3]]}')
+    assert len(k.vertices()) == 4
 
 
 def test_full_subcomplex():

@@ -1,0 +1,199 @@
+"""Differential test: the Stern-Brocot build and verify_axioms of
+goeritz.farey and the incremental contract_loop of goeritz.contract
+against the former pair-scanning and recompute-every-move versions kept
+in tests/slope_reference.py.
+
+The reference shares the oracles (adjacent, remoteness, blocking) and
+the blocking checker with the package, not the simplex enumeration or
+the loop bookkeeping, so any disagreement on a simplex, a certificate,
+an exception text or an axiom report is a defect in one of them.  build
+is also compared with a brute-force |ps - qr| = 1 pair scan written
+here.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import slope_reference as ref
+from goeritz import contract, farey
+from goeritz.simplicial import Complex
+from test_contract import (
+    PENTAGON_EDGES,
+    PENTAGON_LOOP,
+    PENTAGON_R,
+    PENTAGON_VERTICES,
+    pent_adjacent,
+    pent_blocking,
+    pent_remoteness,
+)
+
+ORACLES = (farey.adjacent, farey.remoteness, farey.blocking)
+
+
+def _outcome(contract_loop, loop, remoteness=farey.remoteness, fuel=contract.DEFAULT_FUEL):
+    """The certificate JSON, or the exception type and text."""
+    try:
+        cert = contract_loop(farey.adjacent, remoteness, farey.blocking, loop, farey.BASE, fuel)
+    except (contract.OracleContractViolation, contract.FuelExhausted, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return cert.to_json()
+
+
+def test_criterion_7_certificates_match_reference():
+    for seed in range(100):
+        loop = farey.random_based_loop(seed, max_denominator=50)
+        new = _outcome(contract.contract_loop, loop)
+        assert isinstance(new, str), (seed, new)
+        assert new == _outcome(ref.contract_loop, loop), seed
+
+
+@given(
+    st.lists(st.integers(0, 2**30), min_size=1, max_size=4),
+    st.integers(2, 60),
+    st.integers(1, 12),
+    st.one_of(st.none(), st.integers(1, 300)),
+)
+@settings(max_examples=60, deadline=None)
+def test_segment_loops_match_reference(seeds, max_denominator, steps, fuel):
+    loop = []
+    for seed in seeds:
+        loop += farey.random_based_loop(seed, max_denominator, steps, steps)
+    fuel = contract.DEFAULT_FUEL if fuel is None else fuel
+    assert _outcome(contract.contract_loop, loop, fuel=fuel) == _outcome(
+        ref.contract_loop, loop, fuel=fuel
+    )
+
+
+def _brute_force_build(n, window):
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    verts = [farey.INFINITY] + [
+        farey.Slope(p, q)
+        for q in range(1, n + 1)
+        for p in range(int(lo * q) - 1, int(hi * q) + 2)
+        if gcd(abs(p), q) == 1 and lo <= Fraction(p, q) <= hi
+    ]
+    edges = [
+        (u, w) for u, w in combinations(verts, 2) if abs(u.p * w.q - u.q * w.p) == 1
+    ]
+    near = {u: set() for u in verts}
+    for u, w in edges:
+        near[u].add(w)
+        near[w].add(u)
+    triangles = [(u, w, z) for u, w in edges for z in near[u] & near[w]]
+    return Complex([(u,) for u in verts] + edges + triangles)
+
+
+WINDOWS = [(0, 1), (-2, 3), (1, 1), (0, 0), (-5, -3), (-1, 0), (2, 3), (-3, -2)]
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_build_matches_reference_and_pair_scan(window):
+    for n in range(1, 25):
+        complex_ = farey.build(n, window)
+        assert complex_ == ref.build(n, window), n
+        if n in (1, 2, 3, 7, 12, 24):
+            assert complex_ == _brute_force_build(n, window), n
+
+
+@pytest.mark.parametrize("window", [(1, 0), (3, 2), (-3, -4)])
+def test_reversed_windows_raise_like_reference(window):
+    with pytest.raises(ValueError) as new:
+        farey.build(5, window)
+    with pytest.raises(ValueError) as old:
+        ref.build(5, window)
+    assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("n, samples, seed", [(1, 50, 0), (2, 100, 3), (6, 200, 1), (16, 300, 7), (24, 200, 11)])
+def test_verify_axioms_matches_reference(n, samples, seed):
+    assert farey.verify_axioms(n, samples, seed) == ref.verify_axioms(n, samples, seed)
+
+
+# The pentagon with "1c" moved out of the base star and a second
+# remoteness-0 vertex "z" that leads it home: the subdivision now inserts
+# an image outside the base star, which the engine must contract too.
+OFF_STAR_EDGES = PENTAGON_EDGES - {frozenset(("0", "1c"))} | {
+    frozenset(("z", u)) for u in ("0", "1b", "1c", "1d")
+}
+OFF_STAR_R = dict(PENTAGON_R, z=0)
+
+
+def off_star_adjacent(u, w):
+    return u == w or frozenset((u, w)) in OFF_STAR_EDGES
+
+
+def off_star_blocking(x_members, v):
+    r, adj = OFF_STAR_R, off_star_adjacent
+    for w in PENTAGON_VERTICES + ["z"]:
+        if r[w] < r[v] and adj(w, v) and all(adj(u, w) for u in x_members):
+            return 0, w
+    vp = max(x_members, key=r.get)
+    for wp in PENTAGON_VERTICES + ["z"]:
+        if r[wp] < r[vp] and adj(wp, v) and all(adj(u, wp) for u in x_members if adj(u, vp)):
+            return sum(r[u] for u in x_members), (vp, wp)
+    raise AssertionError("no witness")
+
+
+def test_subdivision_outside_the_base_star_is_contracted():
+    oracles = (off_star_adjacent, OFF_STAR_R.get, off_star_blocking)
+    cert = contract.contract_loop(*oracles, PENTAGON_LOOP, "0")
+    assert cert.moves[0] == contract.Subdivide(3, "1c")
+    assert not off_star_adjacent("1c", "0")
+    assert contract.validate(off_star_adjacent, cert, PENTAGON_LOOP, "0").ok
+    assert cert == ref.contract_loop(*oracles, PENTAGON_LOOP, "0")
+
+
+# --- lying remoteness on a vertex that enters the loop by a move ------------
+#
+# The engine checks an image once, when it enters the loop, so a vertex
+# that is only ever inserted by a relabel or a subdivision must still be
+# caught, with the same message as the reference.
+
+
+def _first_inserted_relabel_witness(loop):
+    cert = contract.contract_loop(*ORACLES, loop, farey.BASE)
+    for move in cert.moves:
+        if move.new not in loop and not farey.adjacent(move.new, farey.BASE):
+            return move.new
+    return None
+
+
+@pytest.mark.parametrize("lie", [0, -1])
+def test_lying_remoteness_on_a_relabel_witness_is_caught(lie):
+    loop = farey.random_based_loop(16, max_denominator=50)
+    target = _first_inserted_relabel_witness(loop)
+    assert target == farey.Slope(61, 22)
+    lying = lambda u: lie if u == target else u.q  # noqa: E731
+    outcome = _outcome(contract.contract_loop, loop, remoteness=lying)
+    assert outcome[0] == "OracleContractViolation"
+    assert repr(target) in outcome[1]
+    assert outcome == _outcome(ref.contract_loop, loop, remoteness=lying)
+
+
+# On the pentagon fixture honest blocking subdivides at "2" and inserts
+# "1c" between "2" and "2p"; the lie fires the first time "1c" is offered.
+
+
+@pytest.mark.parametrize("lie", [-1, 0])
+def test_lying_remoteness_on_a_subdivision_is_caught(lie):
+    honest = contract.contract_loop(pent_adjacent, pent_remoteness, pent_blocking,
+                                    PENTAGON_LOOP, "0")
+    assert contract.Subdivide(3, "1c") in honest.moves
+    assert "1c" not in PENTAGON_LOOP
+    # "1c" lies in the base star, so remoteness 0 is off the star only
+    # once the engine is shown the complex without the edge 0 - 1c
+    cut = frozenset(("0", "1c")) if lie == 0 else None
+    adjacent = lambda u, w: frozenset((u, w)) != cut and pent_adjacent(u, w)  # noqa: E731
+    lying = lambda u: lie if u == "1c" else pent_remoteness(u)  # noqa: E731
+    messages = []
+    for contract_loop in (contract.contract_loop, ref.contract_loop):
+        with pytest.raises(contract.OracleContractViolation) as err:
+            contract_loop(adjacent, lying, pent_blocking, PENTAGON_LOOP, "0")
+        messages.append(str(err.value))
+    assert "'1c'" in messages[0]
+    assert messages[0] == messages[1]
