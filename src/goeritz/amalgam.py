@@ -13,11 +13,14 @@ every group element has a unique expression
 
 where h lies in the edge stabilizer and the c_i are nontrivial
 transversal representatives alternating between the two sides.  We call
-the c_i syllables and h the tail.  Words are rewritten left to right:
-the element so far is multiplied on the right by one stabilizer factor
-per letter.  The tail already sits at the right end, so the factor
-joins it inside its own stabilizer by the exchange rules (t and a are
-central)
+the c_i syllables and h the tail.  A syllable is a plain (side, power)
+tuple: ("P", k) stands for b^k with k != 0 and ("Q", m) for d^m with m
+in {1, 2}; check_syllables is the one place that checks this shape.
+
+Words are rewritten left to right: the element so far is multiplied on
+the right by one stabilizer factor per letter.  The tail already sits
+at the right end, so the factor joins it inside its own stabilizer by
+the exchange rules (t and a are central)
 
     t^a g^c . b^k = b^k . t^(a+ck) g^c
     g^c a^e . d^m = d^((-1)^c m) . g^c a^e
@@ -46,9 +49,8 @@ from .stabilizers import EDGE_IDENTITY, EdgeStabilizer
 
 __all__ = [
     "GENERATOR_ALPHABET",
-    "Syllable",
     "NormalForm",
-    "check_alternating",
+    "check_syllables",
     "IDENTITY_NF",
     "parse",
     "invert_word",
@@ -100,51 +102,51 @@ def random_word(rng: random.Random, length: int) -> str:
     return "".join(rng.choice(GENERATOR_ALPHABET) for _ in range(length))
 
 
-@dataclass(frozen=True, slots=True)
-class Syllable:
-    """One alternating block: factor "P" carries b^power with power != 0,
-    factor "Q" carries d^power with power in {1, 2}."""
+def _syllable_text(side: str, power: int) -> str:
+    return f"{side}({'b' if side == 'P' else 'd'}^{power})"
 
-    factor: str
-    power: int
 
-    def __post_init__(self) -> None:
-        if self.factor == "P":
-            if self.power == 0:
+def check_syllables(syllables: tuple[tuple[str, int], ...]) -> None:
+    """Raise ValueError unless every syllable is ("P", k) with k != 0 or
+    ("Q", m) with m in {1, 2}, and neighbouring syllables lie on
+    different sides.
+
+    >>> check_syllables((("P", 1), ("P", 2)))
+    Traceback (most recent call last):
+    ...
+    ValueError: syllables do not alternate: P(b^1) P(b^2)
+    """
+    for side, power in syllables:
+        if side == "P":
+            if power == 0:
                 raise ValueError("pair syllable with zero power")
-        elif self.factor == "Q":
-            if self.power not in (1, 2):
-                raise ValueError(f"triple syllable power must be 1 or 2, got {self.power}")
+        elif side == "Q":
+            if power not in (1, 2):
+                raise ValueError(f"triple syllable power must be 1 or 2, got {power}")
         else:
-            raise ValueError(f"unknown factor {self.factor!r}")
-
-    def __str__(self) -> str:
-        letter = "b" if self.factor == "P" else "d"
-        return f"{self.factor}({letter}^{self.power})"
-
-
-def check_alternating(syllables: tuple[Syllable, ...]) -> None:
-    """Raise ValueError unless neighbouring syllables lie on different sides."""
+            raise ValueError(f"unknown factor {side!r}")
     for left, right in zip(syllables, syllables[1:]):
-        if left.factor == right.factor:
-            raise ValueError(f"syllables do not alternate: {left} {right}")
+        if left[0] == right[0]:
+            raise ValueError(
+                f"syllables do not alternate: {_syllable_text(*left)} {_syllable_text(*right)}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
 class NormalForm:
-    """Alternating syllables followed by an edge-stabilizer tail."""
+    """Alternating (side, power) syllables followed by an edge-stabilizer tail."""
 
-    syllables: tuple[Syllable, ...] = ()
+    syllables: tuple[tuple[str, int], ...] = ()
     tail: EdgeStabilizer = EDGE_IDENTITY
 
     def __post_init__(self) -> None:
-        check_alternating(self.syllables)
+        check_syllables(self.syllables)
 
     def is_identity(self) -> bool:
         return not self.syllables and self.tail.is_identity()
 
     def __str__(self) -> str:
-        head = " ".join(str(s) for s in self.syllables)
+        head = " ".join(_syllable_text(*s) for s in self.syllables)
         tail = f"tail={self.tail}"
         return f"{head} | {tail}" if head else tail
 
@@ -167,7 +169,7 @@ def _multiply(
     syllables: list[tuple[str, int]], g: int, a: int, factors: Iterable[tuple]
 ) -> NormalForm:
     # right-multiply the element syllables . g^g a^a by each factor in
-    # turn; syllables are (side, power) pairs and the list is consumed
+    # turn; the list of syllables is consumed
     for side, power, a_bit, g_bit in factors:
         # the factor joins the tail inside its own stabilizer
         if side == "P":
@@ -186,10 +188,7 @@ def _multiply(
                 power %= 3
             if power:
                 syllables.append((side, power))
-    return NormalForm(
-        tuple([Syllable(side, power) for side, power in syllables]),
-        EdgeStabilizer(g, a),
-    )
+    return NormalForm(tuple(syllables), EdgeStabilizer(g, a))
 
 
 def normal_form(word: str) -> NormalForm:
@@ -205,16 +204,15 @@ def normal_form(word: str) -> NormalForm:
 
 def mul_nf(u: NormalForm, v: NormalForm) -> NormalForm:
     """Product of two normal forms."""
-    factors = [(s.factor, s.power, 0, 0) for s in v.syllables]
+    factors = [(side, power, 0, 0) for side, power in v.syllables]
     factors.append(("P", 0, v.tail.a, v.tail.g))
-    syllables = [(s.factor, s.power) for s in u.syllables]
-    return _multiply(syllables, u.tail.g, u.tail.a, factors)
+    return _multiply(list(u.syllables), u.tail.g, u.tail.a, factors)
 
 
 def inv_nf(u: NormalForm) -> NormalForm:
     """Inverse of a normal form."""
     # every edge-stabilizer element, u.tail among them, is its own inverse
-    factors = ((s.factor, -s.power, 0, 0) for s in reversed(u.syllables))
+    factors = ((side, -power, 0, 0) for side, power in reversed(u.syllables))
     return _multiply([], u.tail.g, u.tail.a, factors)
 
 
@@ -232,11 +230,11 @@ def are_equal(u: str, v: str) -> bool:
 def nf_to_word(nf: NormalForm) -> str:
     """A generator word spelling out a normal form."""
     parts = []
-    for s in nf.syllables:
-        if s.factor == "P":
-            parts.append(("b" if s.power > 0 else "B") * abs(s.power))
+    for side, power in nf.syllables:
+        if side == "P":
+            parts.append(("b" if power > 0 else "B") * abs(power))
         else:
-            parts.append("d" * s.power)
+            parts.append("d" * power)
     parts.append("g" * nf.tail.g + "a" * nf.tail.a)
     return "".join(parts)
 

@@ -39,7 +39,7 @@ def _cmd_nf(args: argparse.Namespace) -> int:
         "claim": "alternating normal form of the given word",
         "word": args.word,
         "normal_form": str(nf),
-        "syllables": [{"factor": s.factor, "power": s.power} for s in nf.syllables],
+        "syllables": [{"factor": side, "power": power} for side, power in nf.syllables],
         "tail": str(nf.tail),
         "is_identity": nf.is_identity(),
     }
@@ -267,7 +267,7 @@ def _cmd_farey(args: argparse.Namespace) -> int:
     }
     code = 0
     if args.verify_axioms:
-        report = farey.verify_axioms(args.n, args.samples, args.seed)
+        report = farey.verify_axioms(args.n, args.samples, args.seed, tuple(args.window))
         lines.append(
             f"axioms: {report.samples} samples, {len(report.violations)} violations"
         )

@@ -253,13 +253,15 @@ class AxiomReport:
         return not self.violations
 
 
-def verify_axioms(n: int = 10, samples: int = 500, seed: int = 0) -> AxiomReport:
-    """Sample random adjacency pairs in build(n) and check every clause
-    of the blocking contract with contract.check_blocking_answer, plus
-    the strict decrease after a replacement.  Violations are reported
-    verbatim, never repaired."""
+def verify_axioms(
+    n: int = 10, samples: int = 500, seed: int = 0, window: tuple[int, int] = (0, 1)
+) -> AxiomReport:
+    """Sample random adjacency pairs in build(n, window) and check every
+    clause of the blocking contract with contract.check_blocking_answer,
+    plus the strict decrease after a replacement.  Violations are
+    reported verbatim, never repaired."""
     report = AxiomReport(n, samples)
-    complex_ = build(n)
+    complex_ = build(n, window)
     verts = sorted(complex_.vertices())
     for u in verts:
         if remoteness(u) == 0 and not adjacent(u, BASE):

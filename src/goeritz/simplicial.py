@@ -57,10 +57,6 @@ class Complex:
                     closed.add(frozenset(face))
         self._simplices = frozenset(closed)
 
-    @classmethod
-    def from_maximal(cls, maximal: Iterable[Iterable[Label]]) -> "Complex":
-        return cls(maximal)
-
     # -- basic queries ------------------------------------------------
 
     def simplices(self, dim: int | None = None) -> frozenset:

@@ -7,9 +7,10 @@ stabilizers, so we call the two vertex kinds "pair" and "triple".
 
 Cosets are named by canonical representatives read off the normal form:
 strip the edge-stabilizer tail, then drop a trailing syllable of the
-vertex's own side (it moves within the same coset).  Canonical pair
-representatives therefore never end in a "P" syllable and triple
-representatives never end in "Q".  Distinct canonical representatives
+vertex's own side (it moves within the same coset).  A representative
+is a tuple of (side, power) syllables as in :mod:`goeritz.amalgam`.
+Canonical pair representatives therefore never end in a "P" syllable
+and triple representatives never end in "Q".  Distinct canonical representatives
 name distinct cosets because normal forms are unique.
 
 A pair vertex meets the edges g b^k H for all k (truncated to
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .amalgam import NormalForm, Syllable, check_alternating, mul_nf, nf_to_word, normal_form
+from .amalgam import NormalForm, check_syllables, mul_nf, nf_to_word, normal_form
 
 __all__ = [
     "PAIR",
@@ -54,14 +55,14 @@ class CosetVertex:
     """A coset of the pair or triple stabilizer, canonically named."""
 
     kind: str
-    rep: tuple[Syllable, ...]
+    rep: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
         if self.kind not in (PAIR, TRIPLE):
             raise ValueError(f"unknown vertex kind {self.kind!r}")
-        check_alternating(self.rep)
+        check_syllables(self.rep)
         own = "P" if self.kind == PAIR else "Q"
-        if self.rep and self.rep[-1].factor == own:
+        if self.rep and self.rep[-1][0] == own:
             raise ValueError("representative not canonical for this kind")
 
     def __str__(self) -> str:
@@ -72,18 +73,18 @@ class CosetVertex:
 class TreeEdge:
     """A coset of the edge stabilizer."""
 
-    rep: tuple[Syllable, ...]
+    rep: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        check_alternating(self.rep)
+        check_syllables(self.rep)
 
     def __str__(self) -> str:
         return f"edge[{_rep_label(self.rep)}]"
 
 
-def _rep_label(rep: tuple[Syllable, ...]) -> str:
+def _rep_label(rep: tuple[tuple[str, int], ...]) -> str:
     return " ".join(
-        f"{'b' if s.factor == 'P' else 'd'}^{s.power}" for s in rep
+        f"{'b' if side == 'P' else 'd'}^{power}" for side, power in rep
     ) or "1"
 
 
@@ -99,9 +100,9 @@ def base_edge() -> TreeEdge:
     return TreeEdge(())
 
 
-def _canonical_vertex(kind: str, syllables: tuple[Syllable, ...]) -> CosetVertex:
+def _canonical_vertex(kind: str, syllables: tuple[tuple[str, int], ...]) -> CosetVertex:
     own = "P" if kind == PAIR else "Q"
-    if syllables and syllables[-1].factor == own:
+    if syllables and syllables[-1][0] == own:
         syllables = syllables[:-1]
     return CosetVertex(kind, syllables)
 
@@ -114,7 +115,7 @@ def edge_endpoints(edge: TreeEdge) -> tuple[CosetVertex, CosetVertex]:
     )
 
 
-def rep_word(rep: tuple[Syllable, ...]) -> str:
+def rep_word(rep: tuple[tuple[str, int], ...]) -> str:
     """A generator word spelling a canonical representative."""
     return nf_to_word(NormalForm(rep))
 
@@ -124,10 +125,10 @@ def _incident_edges(vertex: CosetVertex, max_power: int) -> Iterator[TreeEdge]:
     if vertex.kind == PAIR:
         for k in range(-max_power, max_power + 1):
             if k != 0:
-                yield TreeEdge(vertex.rep + (Syllable("P", k),))
+                yield TreeEdge(vertex.rep + (("P", k),))
     else:
         for m in (1, 2):
-            yield TreeEdge(vertex.rep + (Syllable("Q", m),))
+            yield TreeEdge(vertex.rep + (("Q", m),))
 
 
 @dataclass
@@ -138,14 +139,6 @@ class TreeBall:
     max_power: int
     vertices: list[CosetVertex]
     edges: list[TreeEdge]
-
-    @property
-    def vertex_set(self) -> frozenset[CosetVertex]:
-        return frozenset(self.vertices)
-
-    @property
-    def edge_set(self) -> frozenset[TreeEdge]:
-        return frozenset(self.edges)
 
 
 def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:

@@ -3,6 +3,7 @@
 # oracle for tests/test_amalgam_differential.py and the "before" rows of
 # benchmarks/normal_form.py.  It is quadratic: _push rebuilds the whole
 # syllable tuple each time a g crosses it.
+# Its only edit since: Syllable objects became (side, power) tuples.
 """Right-to-left normal-form rewriting for the genus-2 Goeritz group.
 
 The normal form of a suffix is maintained and each new letter is
@@ -12,32 +13,32 @@ into the tail.
 
 from __future__ import annotations
 
-from goeritz.amalgam import IDENTITY_NF, NormalForm, Syllable, parse
+from goeritz.amalgam import IDENTITY_NF, NormalForm, parse
 from goeritz.stabilizers import EdgeStabilizer, PairStabilizer, TripleStabilizer
 
 
 def _push(
-    he: EdgeStabilizer, syllables: tuple[Syllable, ...], tail: EdgeStabilizer
-) -> tuple[tuple[Syllable, ...], EdgeStabilizer]:
+    he: EdgeStabilizer, syllables: tuple[tuple[str, int], ...], tail: EdgeStabilizer
+) -> tuple[tuple[tuple[str, int], ...], EdgeStabilizer]:
     # slide an edge-stabilizer element rightwards across the syllables
     if he.g == 0:
         # t/a is central in both factors: nothing changes on the way
         return syllables, (tail if he.a == 0 else he * tail)
     a_bit = he.a
     out = []
-    for s in syllables:
-        if s.factor == "P":
-            a_bit = (a_bit + s.power) % 2  # g b^k = b^k t^k g
-            out.append(s)
+    for side, power in syllables:
+        if side == "P":
+            a_bit = (a_bit + power) % 2  # g b^k = b^k t^k g
+            out.append((side, power))
         else:
-            out.append(Syllable("Q", (-s.power) % 3))  # g d^m = d^-m g
+            out.append(("Q", (-power) % 3))  # g d^m = d^-m g
     return tuple(out), EdgeStabilizer(1, a_bit) * tail
 
 
 def _mul_pair_left(elem: PairStabilizer, nf: NormalForm) -> NormalForm:
     syllables = nf.syllables
-    if syllables and syllables[0].factor == "P":
-        combined = elem * PairStabilizer(syllables[0].power, 0, 0)
+    if syllables and syllables[0][0] == "P":
+        combined = elem * PairStabilizer(syllables[0][1], 0, 0)
         rest = syllables[1:]
     else:
         combined = elem
@@ -45,14 +46,14 @@ def _mul_pair_left(elem: PairStabilizer, nf: NormalForm) -> NormalForm:
     k, he = combined.decompose()
     rest, tail = _push(he, rest, nf.tail)
     if k != 0:
-        rest = (Syllable("P", k),) + rest
+        rest = (("P", k),) + rest
     return NormalForm(rest, tail)
 
 
 def _mul_triple_left(elem: TripleStabilizer, nf: NormalForm) -> NormalForm:
     syllables = nf.syllables
-    if syllables and syllables[0].factor == "Q":
-        combined = elem * TripleStabilizer(syllables[0].power, 0, 0)
+    if syllables and syllables[0][0] == "Q":
+        combined = elem * TripleStabilizer(syllables[0][1], 0, 0)
         rest = syllables[1:]
     else:
         combined = elem
@@ -60,7 +61,7 @@ def _mul_triple_left(elem: TripleStabilizer, nf: NormalForm) -> NormalForm:
     m, he = combined.decompose()
     rest, tail = _push(he, rest, nf.tail)
     if m != 0:
-        rest = (Syllable("Q", m),) + rest
+        rest = (("Q", m),) + rest
     return NormalForm(rest, tail)
 
 
@@ -91,20 +92,20 @@ def normal_form(word: str) -> NormalForm:
 def mul_nf(u: NormalForm, v: NormalForm) -> NormalForm:
     """Product of two normal forms."""
     result = _mul_pair_left(u.tail.in_pair(), v)
-    for s in reversed(u.syllables):
-        if s.factor == "P":
-            result = _mul_pair_left(PairStabilizer(s.power, 0, 0), result)
+    for side, power in reversed(u.syllables):
+        if side == "P":
+            result = _mul_pair_left(PairStabilizer(power, 0, 0), result)
         else:
-            result = _mul_triple_left(TripleStabilizer(s.power, 0, 0), result)
+            result = _mul_triple_left(TripleStabilizer(power, 0, 0), result)
     return result
 
 
 def inv_nf(u: NormalForm) -> NormalForm:
     """Inverse of a normal form."""
     result = IDENTITY_NF
-    for s in u.syllables:
-        if s.factor == "P":
-            result = _mul_pair_left(PairStabilizer(-s.power, 0, 0), result)
+    for side, power in u.syllables:
+        if side == "P":
+            result = _mul_pair_left(PairStabilizer(-power, 0, 0), result)
         else:
-            result = _mul_triple_left(TripleStabilizer((-s.power) % 3, 0, 0), result)
+            result = _mul_triple_left(TripleStabilizer((-power) % 3, 0, 0), result)
     return _mul_pair_left(u.tail.inverse().in_pair(), result)

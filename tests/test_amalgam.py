@@ -16,7 +16,6 @@ from goeritz.amalgam import (
     DEFAULT_RELATORS,
     IDENTITY_NF,
     NormalForm,
-    Syllable,
     are_equal,
     inv_nf,
     invert_word,
@@ -135,19 +134,21 @@ def test_separation_of_distinct_normal_forms():
 
 
 def test_syllable_and_normal_form_validation():
-    with pytest.raises(ValueError):
-        Syllable("P", 0)
-    with pytest.raises(ValueError):
-        Syllable("Q", 3)
-    with pytest.raises(ValueError):
-        NormalForm((Syllable("P", 1), Syllable("P", 2)))
+    with pytest.raises(ValueError, match="^pair syllable with zero power$"):
+        NormalForm((("P", 0),))
+    with pytest.raises(ValueError, match="^triple syllable power must be 1 or 2, got 3$"):
+        NormalForm((("Q", 3),))
+    with pytest.raises(ValueError, match=r"^syllables do not alternate: P\(b\^1\) P\(b\^2\)$"):
+        NormalForm((("P", 1), ("P", 2)))
+    with pytest.raises(ValueError, match="^unknown factor 'R'$"):
+        NormalForm((("R", 1),))
 
 
 def test_alternation_invariant_holds_on_random_words():
     rng = random.Random(6)
     for _ in range(300):
         nf = normal_form(random_word(rng, rng.randint(0, 25)))
-        factors = [s.factor for s in nf.syllables]
+        factors = [side for side, _ in nf.syllables]
         for left, right in zip(factors, factors[1:]):
             assert left != right
 

@@ -1,8 +1,8 @@
 """Differential test: the left-to-right rewriting loop of goeritz.amalgam
 against the former right-to-left rewriter kept in tests/amalgam_reference.py.
 
-The two share only the Syllable and NormalForm classes and parse, not
-the rewriting.  Normal forms are unique, so any disagreement on a
+The two share only the NormalForm class (whose syllables are plain
+(side, power) tuples) and parse, not the rewriting.  Normal forms are unique, so any disagreement on a
 syllable or on the tail is a defect in one of them.
 """
 
@@ -28,7 +28,7 @@ def test_rewriting_matches_reference(u, v):
 def _ref_act(word, vertex):
     moved = ref.mul_nf(ref.normal_form(word), amalgam.NormalForm(vertex.rep)).syllables
     own = "P" if vertex.kind == tree.PAIR else "Q"
-    if moved and moved[-1].factor == own:
+    if moved and moved[-1][0] == own:
         moved = moved[:-1]
     return tree.CosetVertex(vertex.kind, moved)
 

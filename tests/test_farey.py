@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goeritz import cli, farey
 from goeritz.farey import (
     BASE,
     INFINITY,
@@ -227,6 +228,25 @@ def test_verify_axioms_is_clean():
         report = verify_axioms(8, 200, seed=seed)
         assert report.ok, report.violations[:5]
     assert verify_axioms(10, 500, seed=0).ok
+
+
+def test_verify_axioms_samples_inside_the_window(monkeypatch, capsys):
+    sampled = []
+
+    def spy(xs, v):
+        sampled.append(v)
+        return blocking(xs, v)
+
+    monkeypatch.setattr(farey, "blocking", spy)
+    assert verify_axioms(16, 300, 7, (-3, -2)).ok
+    assert sampled and all(-3 <= Fraction(v.p, v.q) <= -2 for v in sampled)
+    sampled.clear()
+    argv = ["farey", "--n", "16", "--window", "-3", "-2", "--verify-axioms"]
+    assert cli.main(argv) == 0
+    assert "axioms: 500 samples, 0 violations" in capsys.readouterr().out
+    assert sampled and all(-3 <= Fraction(v.p, v.q) <= -2 for v in sampled)
+    with pytest.raises(ValueError):
+        verify_axioms(6, 10, 0, (1, 0))
 
 
 def test_random_based_loop_shape():

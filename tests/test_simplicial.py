@@ -40,7 +40,7 @@ def test_rejects_oversized_simplices():
 
 
 def test_from_maximal_and_maximal_simplices():
-    k = Complex.from_maximal([("a", "b", "c"), ("c", "d")])
+    k = Complex([("a", "b", "c"), ("c", "d")])
     assert k.has(("a", "c"))
     assert k.maximal_simplices() == [("a", "b", "c"), ("c", "d")]
 
@@ -71,7 +71,7 @@ def test_adjacent_includes_equality():
 
 
 def test_star_is_full_subcomplex_on_the_closed_neighbourhood():
-    k = Complex.from_maximal([("a", "b", "c"), ("c", "d"), ("d", "e")])
+    k = Complex([("a", "b", "c"), ("c", "d"), ("d", "e")])
     star_c = k.star("c")
     assert star_c.vertices() == {"a", "b", "c", "d"}
     assert star_c.has(("a", "b", "c"))
@@ -81,7 +81,7 @@ def test_star_is_full_subcomplex_on_the_closed_neighbourhood():
 
 
 def test_link_examples():
-    cone = Complex.from_maximal(
+    cone = Complex(
         [("apex", 1, 2), ("apex", 2, 3), ("apex", 3, 1)]
     )
     link = cone.link("apex")
@@ -186,7 +186,7 @@ def test_json_labels_are_strings_or_integers(label):
 
 
 def test_full_subcomplex():
-    k = Complex.from_maximal([("a", "b", "c"), ("c", "d")])
+    k = Complex([("a", "b", "c"), ("c", "d")])
     sub = k.full_subcomplex({"a", "b", "d"})
     assert sub.has(("a", "b"))
     assert not sub.has(("a", "d"))
