@@ -8,8 +8,8 @@ machine-readable (--json) mode next to the human one, and output is
 byte-identical for identical (argv, seed).
 
 Exit codes: 0 success, 1 verification failure (including a negative
-answer to a yes/no query), 2 usage error.  The GOERITZ_FUEL environment
-variable overrides the default move budget of the contract subcommand.
+answer to a yes/no query), 2 usage error, 141 (128 + SIGPIPE, as a
+shell reports it) when the reader of stdout has gone away.
 """
 
 from __future__ import annotations
@@ -102,15 +102,8 @@ def _cmd_primitive(args: argparse.Namespace) -> int:
     return 0 if primitive else 1
 
 
-def _ball(args: argparse.Namespace) -> tree.TreeBall:
-    try:
-        return tree.ball(args.radius, args.max_power)
-    except RuntimeError as exc:  # the vertex cap: too large a request
-        raise ValueError(str(exc)) from None
-
-
 def _cmd_tree(args: argparse.Namespace) -> int:
-    b = _ball(args)
+    b = tree.ball(args.radius, args.max_power)
     good = tree.is_tree(b)
     if args.dot:
         Path(args.dot).write_text(tree.to_dot(b))
@@ -135,7 +128,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_quotient(args: argparse.Namespace) -> int:
-    b = _ball(args)
+    b = tree.ball(args.radius, args.max_power)
     report = tree.quotient(b, witness_samples=args.witnesses)
     lines = [
         f"quotient vertices: {', '.join(report.vertices)}",
@@ -160,14 +153,9 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _element_word(elem) -> str:
-    """A defining word for a stabilizer element, in the b/g/d alphabet."""
-    if isinstance(elem, stabilizers.TripleStabilizer):
-        return "d" * elem.d + "g" * elem.g + "a" * elem.a
-    if isinstance(elem, stabilizers.PairStabilizer):
-        power = "b" * elem.k if elem.k >= 0 else "B" * (-elem.k)
-        return power + "t" * elem.t + "g" * elem.g
-    return "g" * elem.g + "a" * elem.a
+def _element_word(elem: stabilizers.TripleStabilizer) -> str:
+    """A defining word for a triple stabilizer element, in the b/g/d alphabet."""
+    return "d" * elem.d + "g" * elem.g + "a" * elem.a
 
 
 def _cmd_stabilizers(args: argparse.Namespace) -> int:
@@ -267,7 +255,7 @@ def _cmd_farey(args: argparse.Namespace) -> int:
     }
     code = 0
     if args.verify_axioms:
-        report = farey.verify_axioms(args.n, args.samples, args.seed, tuple(args.window))
+        report = farey._check_axioms(complex_, args.n, args.samples, args.seed)
         lines.append(
             f"axioms: {report.samples} samples, {len(report.violations)} violations"
         )
@@ -283,14 +271,11 @@ def _cmd_farey(args: argparse.Namespace) -> int:
 
 
 def _cmd_contract(args: argparse.Namespace) -> int:
-    fuel = args.fuel
-    if fuel is None:
-        fuel = int(os.environ.get("GOERITZ_FUEL", contract.DEFAULT_FUEL))
     loop = farey.random_based_loop(args.seed, args.max_denominator)
     try:
         certificate = contract.contract_loop(
             farey.adjacent, farey.remoteness, farey.blocking, loop, farey.BASE,
-            fuel=fuel,
+            fuel=args.fuel,
         )
     except contract.FuelExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -310,7 +295,7 @@ def _cmd_contract(args: argparse.Namespace) -> int:
         "claim": "the certified moves contract the loop into the base star",
         "seed": args.seed,
         "max_denominator": args.max_denominator,
-        "fuel": fuel,
+        "fuel": args.fuel,
         "loop": [str(v) for v in loop],
         "moves": len(certificate.moves),
         "validated": report.ok,
@@ -378,8 +363,8 @@ def _parser() -> argparse.ArgumentParser:
     p = add("contract", _cmd_contract, "contract a seeded random based loop")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-denominator", type=int, default=50)
-    p.add_argument("--fuel", type=int, default=None,
-                   help="move budget (default GOERITZ_FUEL or 1000000)")
+    p.add_argument("--fuel", type=int, default=contract.DEFAULT_FUEL,
+                   help="move budget (default %(default)s)")
     p.add_argument("-o", "--output", metavar="PATH", help="write certificate JSON")
 
     return parser
@@ -398,7 +383,12 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")  # keeps the final flush quiet
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -106,19 +106,19 @@ class HomotopyCertificate:
         object.__setattr__(self, "moves", tuple(self.moves))
         object.__setattr__(self, "final", tuple(self.final))
 
-    def to_json_dict(self, encode: Callable[[Vertex], str] = str) -> dict:
+    def to_json_dict(self) -> dict:
         moves = []
         for m in self.moves:
             if isinstance(m, Relabel):
                 moves.append(
-                    {"type": "relabel", "pos": m.pos, "old": encode(m.old), "new": encode(m.new)}
+                    {"type": "relabel", "pos": m.pos, "old": str(m.old), "new": str(m.new)}
                 )
             else:
-                moves.append({"type": "subdivide", "pos": m.pos, "insert": encode(m.insert)})
-        return {"moves": moves, "final": [encode(v) for v in self.final]}
+                moves.append({"type": "subdivide", "pos": m.pos, "insert": str(m.insert)})
+        return {"moves": moves, "final": [str(v) for v in self.final]}
 
-    def to_json(self, encode: Callable[[Vertex], str] = str) -> str:
-        return json.dumps(self.to_json_dict(encode), indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(

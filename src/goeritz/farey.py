@@ -260,8 +260,12 @@ def verify_axioms(
     clause of the blocking contract with contract.check_blocking_answer,
     plus the strict decrease after a replacement.  Violations are
     reported verbatim, never repaired."""
+    return _check_axioms(build(n, window), n, samples, seed)
+
+
+def _check_axioms(complex_: Complex, n: int, samples: int, seed: int) -> AxiomReport:
+    """verify_axioms on an already built complex (build(n, window))."""
     report = AxiomReport(n, samples)
-    complex_ = build(n, window)
     verts = sorted(complex_.vertices())
     for u in verts:
         if remoteness(u) == 0 and not adjacent(u, BASE):

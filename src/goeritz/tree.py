@@ -120,15 +120,18 @@ def rep_word(rep: tuple[tuple[str, int], ...]) -> str:
     return nf_to_word(NormalForm(rep))
 
 
-def _incident_edges(vertex: CosetVertex, max_power: int) -> Iterator[TreeEdge]:
-    yield TreeEdge(vertex.rep)
+def _incident(vertex: CosetVertex, max_power: int) -> Iterator[tuple[TreeEdge, CosetVertex]]:
+    """Each edge at a vertex with its far endpoint; past the first, an edge's
+    rep ends on the vertex's side, so it is canonical for the other kind."""
+    rep = vertex.rep
     if vertex.kind == PAIR:
-        for k in range(-max_power, max_power + 1):
-            if k != 0:
-                yield TreeEdge(vertex.rep + (("P", k),))
+        other, steps = TRIPLE, [("P", k) for k in range(-max_power, max_power + 1) if k]
     else:
-        for m in (1, 2):
-            yield TreeEdge(vertex.rep + (("Q", m),))
+        other, steps = PAIR, [("Q", 1), ("Q", 2)]
+    yield TreeEdge(rep), _canonical_vertex(other, rep)
+    for step in steps:
+        far = rep + (step,)
+        yield TreeEdge(far), CosetVertex(other, far)
 
 
 @dataclass
@@ -145,7 +148,7 @@ def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
     """Breadth-first ball of the given radius around the base edge.
 
     Pair-vertex expansion is truncated to |k| <= max_power.  Raises
-    RuntimeError if the vertex count exceeds the cap.
+    ValueError if the vertex count exceeds the cap.
     """
     if radius < 0 or max_power < 1:
         raise ValueError("radius must be >= 0 and max_power >= 1")
@@ -157,17 +160,16 @@ def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
     for _ in range(radius):
         next_frontier: list[CosetVertex] = []
         for v in frontier:
-            for e in _incident_edges(v, max_power):
+            for e, w in _incident(v, max_power):
                 if e not in seen_e:
                     seen_e.add(e)
                     edges.append(e)
-                for w in edge_endpoints(e):
-                    if w not in seen_v:
-                        seen_v.add(w)
-                        vertices.append(w)
-                        next_frontier.append(w)
+                if w not in seen_v:
+                    seen_v.add(w)
+                    vertices.append(w)
+                    next_frontier.append(w)
             if len(vertices) > cap:
-                raise RuntimeError(f"ball exceeded vertex cap {cap}")
+                raise ValueError(f"ball exceeded vertex cap {cap}")
         frontier = next_frontier
     return TreeBall(radius, max_power, vertices, edges)
 
@@ -190,14 +192,17 @@ def stabilizer_of(vertex: CosetVertex, words: Iterable[str]) -> list[str]:
 
 
 def is_tree(b: TreeBall) -> bool:
-    """Connected and one fewer edge than vertices."""
+    """Connected, one fewer edge than vertices, and no edge leaving the ball."""
     if len(b.edges) != len(b.vertices) - 1:
         return False
     neighbours: dict[CosetVertex, list[CosetVertex]] = {v: [] for v in b.vertices}
     for e in b.edges:
         p, q = edge_endpoints(e)
-        neighbours[p].append(q)
-        neighbours[q].append(p)
+        try:
+            neighbours[p].append(q)
+            neighbours[q].append(p)
+        except KeyError:  # an endpoint outside the ball
+            return False
     seen = {b.vertices[0]}
     stack = [b.vertices[0]]
     while stack:

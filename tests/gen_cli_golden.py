@@ -2,17 +2,17 @@
 
     python tests/gen_cli_golden.py
 
-Every case runs through goeritz.cli.main in-process, with the
-working directory set to tests/ (so file arguments and the paths that
-error messages quote are short and fixed), COLUMNS pinned (argparse
-wraps usage and help text to the terminal width) and GOERITZ_FUEL
-unset.  The fixture records, per argv, the exit code and the sha256 of
-stdout and of stderr; tests/test_cli_golden.py replays the argv under
-the same conditions and compares.  CLI output is meant to stay
-byte-identical for a fixed (argv, seed), so regenerate the fixture only
-on a commit whose output is known good, and say why in the change.
-The usage and help texts come from argparse, which words them slightly
-differently across Python versions; the fixture was frozen under 3.11.
+Every case runs through goeritz.cli.main in-process, with the working
+directory set to tests/ (so file arguments and the paths that error
+messages quote are short and fixed) and COLUMNS pinned (argparse wraps
+usage and help text to the terminal width).  The fixture records, per
+argv, the exit code and the sha256 of stdout and of stderr;
+tests/test_cli_golden.py replays the argv under the same conditions
+and compares.  CLI output is meant to stay byte-identical for a fixed
+(argv, seed), so regenerate the fixture only on a commit whose output
+is known good, and say why in the change.  The usage and help texts
+come from argparse, which words them slightly differently across
+Python versions; the fixture was frozen under 3.11.
 """
 
 import contextlib
@@ -121,7 +121,6 @@ def pinned_environment():
     cwd, saved = os.getcwd(), dict(os.environ)
     os.chdir(HERE)
     os.environ["COLUMNS"] = "80"
-    os.environ.pop("GOERITZ_FUEL", None)
     try:
         yield
     finally:

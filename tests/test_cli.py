@@ -1,6 +1,9 @@
 """The command-line interface: exit codes, determinism, file outputs."""
 
+import io
 import json
+import os
+import sys
 
 from goeritz import farey
 from goeritz.cli import main
@@ -122,12 +125,25 @@ def test_contract_writes_validating_certificate(capsys, tmp_path):
 
 
 def test_contract_respects_fuel_env(capsys, monkeypatch):
-    monkeypatch.setenv("GOERITZ_FUEL", "1")
-    code, _, err = run(capsys, "contract", "--seed", "3")
+    code, _, err = run(capsys, "contract", "--seed", "3", "--fuel", "1")
     assert code == 1
     assert "fuel" in err.lower()
-    monkeypatch.delenv("GOERITZ_FUEL")
+    monkeypatch.setenv("GOERITZ_FUEL", "1")  # the environment sets no budget
     assert run(capsys, "contract", "--seed", "3")[0] == 0
+
+
+def test_closed_stdout_pipe_exits_141_quietly(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["contract", "--seed", "5", "--json"])
+    quieted = sys.stdout
+    assert code == 141
+    assert quieted.name == os.devnull
+    quieted.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_output_is_deterministic(capsys):

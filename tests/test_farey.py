@@ -249,6 +249,19 @@ def test_verify_axioms_samples_inside_the_window(monkeypatch, capsys):
         verify_axioms(6, 10, 0, (1, 0))
 
 
+def test_cli_verify_axioms_builds_the_complex_once(monkeypatch, capsys):
+    calls = []
+
+    def spy(n, window=(0, 1)):
+        calls.append((n, window))
+        return build(n, window)
+
+    monkeypatch.setattr(farey, "build", spy)
+    assert cli.main(["farey", "--n", "16", "--window", "-3", "-2", "--verify-axioms"]) == 0
+    assert "axioms: 500 samples, 0 violations" in capsys.readouterr().out
+    assert calls == [(16, (-3, -2))]
+
+
 def test_random_based_loop_shape():
     for seed in range(30):
         loop = random_based_loop(seed, max_denominator=40)

@@ -4,11 +4,15 @@ import random
 
 import pytest
 
+import tree_reference as ref
 from goeritz.amalgam import parse, random_word
 from goeritz.tree import (
     PAIR,
     TRIPLE,
     CosetVertex,
+    TreeBall,
+    TreeEdge,
+    _incident,
     act,
     act_edge,
     ball,
@@ -62,8 +66,27 @@ def test_ball_argument_validation():
         ball(-1, 2)
     with pytest.raises(ValueError):
         ball(2, 0)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="^ball exceeded vertex cap 1000$"):
         ball(12, 3, cap=1000)
+
+
+def test_ball_matches_the_reference_in_order():
+    sizes = [(r, p) for r in range(6) for p in range(1, 4)] + [(6, 3)]
+    for radius, max_power in sizes:
+        assert ball(radius, max_power) == ref.ball(radius, max_power)
+
+
+def test_incident_far_endpoints_agree_with_edge_endpoints():
+    vertices = ball(4, 3).vertices
+    for max_power in range(1, 4):
+        for v in vertices:
+            for e, w in _incident(v, max_power):
+                assert set(edge_endpoints(e)) == {v, w}
+
+
+def test_is_tree_rejects_an_edge_leaving_the_ball():
+    b = TreeBall(1, 1, [base_pair_vertex(), base_triple_vertex()], [TreeEdge((("P", 1),))])
+    assert not is_tree(b)
 
 
 def test_edges_connect_pair_to_triple():
