@@ -1,7 +1,7 @@
 """Computational model of the genus-2 Goeritz group.
 
 Subpackages:
-    words        free group F_2, Whitehead primitivity oracle
+    words        free group F_2, linear primitivity test
     stabilizers  the three stabilizer groups with exact normal forms
     amalgam      amalgamated-product normal forms, word problem
     tree         finite balls of the coset tree, group action, quotient

@@ -258,9 +258,13 @@ def random_consequence(rng: random.Random, max_len: int = 200) -> str:
     """A random product of conjugated relators, length at most max_len.
 
     Every such word is a consequence of the defining relators, hence
-    must normalize to the identity.
+    must normalize to the identity.  Raises ValueError when max_len is
+    shorter than the longest relator.
     """
-    count = rng.randint(1, 3)
+    longest = max(len(relator) for _, relator in DEFAULT_RELATORS)
+    if max_len < longest:
+        raise ValueError(f"max_len must be at least {longest}, the longest relator")
+    count = rng.randint(1, min(3, max_len // longest))
     budget = max_len // count
     parts = []
     for _ in range(count):

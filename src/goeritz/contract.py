@@ -305,7 +305,8 @@ def validate(
     Each relabel must stay adjacent to the old image and to both
     neighbouring images; each subdivision must be adjacent to both
     flanking images; the replayed loop must equal the recorded final
-    loop, which must lie in the star of the base vertex.
+    loop, which must lie in the star of the base vertex.  An image that
+    makes the adjacency oracle raise fails its move.
     """
     adj = _reflexive(adjacent)
     cur = list(loop)
@@ -322,24 +323,27 @@ def validate(
                 return ValidationReport(
                     False, idx, f"relabel expected {move.old!r} at {move.pos}, found {cur[move.pos]!r}"
                 )
-            for u in (move.old, cur[(move.pos - 1) % m], cur[(move.pos + 1) % m]):
-                if not adj(move.new, u):
-                    return ValidationReport(
-                        False, idx, f"relabel image {move.new!r} not adjacent to {u!r}"
-                    )
-            cur[move.pos] = move.new
+            what, image = "relabel image", move.new
+            others = (move.old, cur[(move.pos - 1) % m], cur[(move.pos + 1) % m])
         else:
             if not 1 <= move.pos <= m:
                 return ValidationReport(
                     False, idx, f"subdivide position {move.pos} out of range"
                 )
-            flanks = (cur[move.pos - 1], cur[move.pos % m])
-            for u in flanks:
-                if not adj(move.insert, u):
-                    return ValidationReport(
-                        False, idx, f"inserted image {move.insert!r} not adjacent to {u!r}"
-                    )
-            cur.insert(move.pos, move.insert)
+            what, image = "inserted image", move.insert
+            others = (cur[move.pos - 1], cur[move.pos % m])
+        for u in others:
+            try:
+                ok = adj(image, u)
+            except Exception as exc:  # the image comes from the certificate, maybe not a vertex
+                reason = f"adjacency oracle raised {type(exc).__name__} on {move!r}"
+                return ValidationReport(False, idx, reason)
+            if not ok:
+                return ValidationReport(False, idx, f"{what} {image!r} not adjacent to {u!r}")
+        if isinstance(move, Relabel):
+            cur[move.pos] = image
+        else:
+            cur.insert(move.pos, image)
     if cur != list(certificate.final):
         return ValidationReport(False, None, "replayed loop differs from recorded final loop")
     for v in cur:

@@ -129,11 +129,7 @@ class Complex:
 
     def is_flag(self) -> bool:
         """Every pairwise-adjacent vertex triple spans a triangle."""
-        neighbours: dict[Label, set] = {v: set() for v in self.vertices()}
-        for e in self.simplices(1):
-            u, w = tuple(e)
-            neighbours[u].add(w)
-            neighbours[w].add(u)
+        neighbours = self._neighbours()
         for e in self.simplices(1):
             u, w = tuple(e)
             for z in neighbours[u] & neighbours[w]:
@@ -148,12 +144,16 @@ class Complex:
             + len(self.simplices(2))
         )
 
-    def _components(self) -> list[set]:
+    def _neighbours(self) -> dict[Label, set]:
         neighbours: dict[Label, set] = {v: set() for v in self.vertices()}
         for e in self.simplices(1):
             u, w = tuple(e)
             neighbours[u].add(w)
             neighbours[w].add(u)
+        return neighbours
+
+    def _components(self) -> list[set]:
+        neighbours = self._neighbours()
         seen: set = set()
         parts = []
         for v in neighbours:

@@ -8,12 +8,10 @@ data: reduced words are str, exponent sums a pair of ints, verdicts
 bool.
 
 Besides free and cyclic reduction this module decides primitivity (is a
-word part of some free basis?) with the classical Whitehead algorithm:
-a cyclically reduced word is primitive iff repeated application of
-length-decreasing Whitehead automorphisms brings it down to a single
-letter.  There is also the cheap certificate used throughout the
-package: a cyclically reduced word that contains both x and x^-1 (or
-both y and y^-1) is never primitive.
+word part of some free basis?) in linear time, by Christoffel descent.
+There is also the cheap certificate used throughout the package: a
+cyclically reduced word that contains both x and x^-1 (or both y and
+y^-1) is never primitive.
 """
 
 from __future__ import annotations
@@ -51,16 +49,10 @@ def parse_word(text: str) -> str:
 
 
 def _free_reduce(word: str) -> str:
-    # One regex pass deletes the inverse pairs already adjacent.  That is
-    # all a Whitehead image of a reduced word needs: its pairs are an
-    # inserted multiplier letter against a neighbour, and deleting one
-    # never joins two inverse letters.  Pairs that deletions do join (the
-    # outer one of "xyYX") go to the linear stack below.
-    shorter = _INVERSE_PAIR.sub("", word)
-    if len(shorter) == len(word) or not _INVERSE_PAIR.search(shorter):
-        return shorter
+    if not _INVERSE_PAIR.search(word):
+        return word
     out: list[str] = []
-    for ch in shorter:
+    for ch in word:
         if out and out[-1] == _INVERSE[ch]:
             out.pop()
         else:
@@ -120,36 +112,28 @@ def mixed_sign_criterion(word: str) -> bool:
     w = _strip_conjugation(parse_word(word))
     if not w:
         raise ValueError("mixed_sign_criterion expects a nonempty word")
+    return _mixed_signs(w)
+
+
+def _mixed_signs(w: str) -> bool:
     return ("x" in w and "X" in w) or ("y" in w and "Y" in w)
 
 
-def _inverse(word: str) -> str:
-    return word[::-1].swapcase()
-
-
-def _whitehead_maps() -> tuple[dict[int, str], ...]:
-    # Type-II Whitehead automorphisms of F_2: fix a multiplier letter a,
-    # send the other generator z to one of  z*a,  a^-1*z,  a^-1*z*a.
-    # Twelve nontrivial maps in total; the set is closed under inverses,
-    # which is what makes greedy descent complete.
-    maps = []
-    for a in "xXyY":
-        z = "y" if a in "xX" else "x"
-        for img in (z + a, _inverse(a) + z, _inverse(a) + z + a):
-            maps.append(str.maketrans({z: img, _inverse(z): _inverse(img)}))
-    return tuple(maps)
-
-
-_WHITEHEAD_MAPS = _whitehead_maps()
-
-
 def is_primitive(word: str) -> bool:
-    """Decide whether the word is primitive, by Whitehead's algorithm.
+    """Decide whether the word is primitive, by Christoffel descent.
 
-    Greedy strict-length descent over the finite set of Whitehead
-    automorphisms of F_2, always taking the first map (in a fixed
-    order) that shortens the cyclic word; a word is primitive iff the
-    descent reaches a single letter.  The empty word is not primitive.
+    A cyclically reduced word of F_2 is primitive iff, up to inverting
+    generators, it is positive and conjugate to a Christoffel word
+    (Osborne and Zieschang, Invent. Math. 63, 1981; Cohen, Metzler and
+    Zimmermann, Math. Ann. 257, 1981).  So mixed signs are not
+    primitive, and the rest is lowercased.  Each round takes the letter
+    a that never occurs twice in a row, cyclically (if both do: not
+    primitive), and the runs b^e_i between consecutive a's; with
+    n = min e_i, every e_i must be n or n + 1, and a b^n -> a,
+    a b^(n+1) -> a b undoes the automorphism a -> a b^n.  The word is
+    primitive iff this ends at one letter; the empty word is not.  With
+    k letters a, a round drops k n of at most k (n + 2) letters, a third
+    or more, so the total work is linear in the length.
 
     >>> is_primitive("xy")
     True
@@ -157,14 +141,21 @@ def is_primitive(word: str) -> bool:
     False
     """
     w = _strip_conjugation(parse_word(word))
+    if _mixed_signs(w):
+        return False
+    w = w.lower()
     while len(w) > 1:
-        for table in _WHITEHEAD_MAPS:
-            image = _strip_conjugation(_free_reduce(w.translate(table)))
-            if len(image) < len(w):
-                w = image
-                break
-        else:
-            return False  # Whitehead-minimal and longer than one letter
+        # when y occurs twice in a row too, some run below is empty and
+        # another is longer than one, so the run test rejects the word
+        a, b = ("y", "x") if "xx" in w + w[0] else ("x", "y")
+        if a not in w:
+            return False  # a proper power of one letter
+        start = w.index(a)
+        runs = [len(run) for run in (w[start:] + w[:start]).split(a)[1:]]
+        n = min(runs)
+        if max(runs) > n + 1:
+            return False
+        w = "".join(a + b * (e - n) for e in runs)
     return len(w) == 1
 
 

@@ -48,6 +48,18 @@ def test_verify_presentation(capsys):
     assert "consequences: 20/20 ok" in out
 
 
+def test_verify_presentation_short_max_len(capsys):
+    # up to 20 letters fit two relators of 10; fewer than 10 fit none
+    code, out, _ = run(capsys, "verify-presentation", "--max-len", "20")
+    assert code == 0
+    assert "consequences: 1000/1000 ok" in out
+    assert out.count(": ok") == 6
+    code, out, err = run(capsys, "verify-presentation", "--max-len", "9")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_primitive_exit_codes(capsys):
     assert run(capsys, "primitive", "xy")[0] == 0
     assert run(capsys, "primitive", "xyXY")[0] == 1

@@ -340,6 +340,16 @@ def test_validate_reports_non_integer_positions():
         assert "not an integer" in report.reason
 
 
+def test_validate_reports_images_the_oracle_rejects():
+    # farey.adjacent raises AttributeError on a non-slope; validate must not
+    loop = slope_loop(3)
+    for move in (Subdivide(1, "junk"), Relabel(0, farey.BASE, None)):
+        report = validate(farey.adjacent, HomotopyCertificate([move], loop), loop, farey.BASE)
+        assert not report.ok
+        assert report.failed_move == 0
+        assert "AttributeError" in report.reason and repr(move) in report.reason
+
+
 @pytest.mark.parametrize(
     "data",
     [

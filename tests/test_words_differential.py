@@ -1,8 +1,9 @@
 """Differential test: the string-based goeritz.words against the former
 int-tuple implementation kept in tests/words_reference.py.
 
-Both decide primitivity by the same greedy Whitehead descent, but they
-share no code, so any disagreement on reduction, canonical rotation,
+The reference decides primitivity by greedy Whitehead descent and the
+package by Christoffel descent; they share no code, so any disagreement
+on reduction, canonical rotation,
 exponent sums, the mixed-sign certificate, the primitivity verdict or
 the enumeration order is a defect in one of them.
 """
