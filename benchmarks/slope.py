@@ -1,20 +1,31 @@
 """Size ladders for the slope fixture: `contract.contract_loop`,
-`farey.build` and `farey.verify_axioms` time against size.
+`farey.build`, `farey.verify_axioms`, and the simplicial layer's
+`barycentric` and `remove_open_stars` on `farey.build(n)`, time against
+size.
 
     python benchmarks/slope.py [--out BENCH_slope.json]
 
-contract_loop runs on based loops of 100, 200, ..., 1600 positions, each
-the concatenation of seeded 50-position `farey.random_based_loop`
+contract_loop runs on based loops of 100, 200, ..., 12,800 positions,
+each the concatenation of seeded 50-position `farey.random_based_loop`
 segments (the shape the benchmark's slope_fixture workload uses);
-build(n) and verify_axioms(n, 200, seed) run at n = 16, 32, 64, 128.
+build(n), verify_axioms(n, 200, seed), build(n).barycentric() and
+remove_open_stars on that subdivision run at n = 16, 32, 64, 128 (the
+complex they start from is built outside the timing).
 Each rung is timed as the minimum of three repeats with
-`time.perf_counter`, and one more untimed run counts the oracle calls.
+`time.perf_counter`, after one untimed run that counts the oracle calls
+or the simplices.
 The rows for layer "slope" time the package in src/; the rows for layer
 "slope_reference" time the former pair-scanning and recompute-every-move
-code kept in tests/slope_reference.py, on the rungs up to REFERENCE_MAX.
+code kept in tests/slope_reference.py, on the rungs up to REFERENCE_MAX;
+the simplicial layer has no reference, so it has no such rows.  The
+committed BENCH_slope.json also holds rows of layer "slope_parent": the
+"slope" rows of this script run, in the same session, from a checkout of
+the commit before the contraction engine's level queue, merged in by
+hand as the "before" side.
 The printed exponent is log2 of the time ratio between rungs; for
 build and verify_axioms a rung doubles n and so about quadruples the
-vertex count, so linear work there shows as exponent about 2.
+vertex count, so linear work there shows as exponent about 2.  The
+same holds for the simplicial rows.
 
 Stdlib only.  Writes a JSON object {"host": {...}, "records": [...]}
 with one record {layer, op, n, seconds, counters, git_rev, python} per
@@ -32,6 +43,7 @@ import random
 import sys
 import time
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,13 +51,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import slope_reference  # noqa: E402
 from goeritz import contract, farey  # noqa: E402
+from goeritz.simplicial import remove_open_stars  # noqa: E402
 from normal_form import cpu_model, git_rev  # noqa: E402
 
-LOOP_LADDER = (100, 200, 400, 800, 1600)  # positions
+LOOP_LADDER = (100, 200, 400, 800, 1600, 3200, 6400, 12800)  # positions
 FAREY_LADDER = (16, 32, 64, 128)  # max denominator
 SEGMENT = 50
 AXIOM_SAMPLES = 200
-REFERENCE_MAX = {"contract_loop": 1600, "build": 64, "verify_axioms": 64}
+REFERENCE_MAX = {"contract_loop": 1600, "build": 64, "verify_axioms": 64,
+                 "barycentric": 0, "remove_open_stars": 0}
 REPEATS = 3
 SEED = 0
 IMPLEMENTATIONS = {
@@ -61,6 +75,11 @@ def _loop(positions: int) -> list:
     for _ in range(positions // SEGMENT):
         loop += farey.random_based_loop(rng.randrange(1 << 30), 50, SEGMENT - 3, SEGMENT - 3)
     return loop
+
+
+def _sizes(complex_) -> dict:
+    return {"vertices": len(complex_.simplices(0)), "edges": len(complex_.simplices(1)),
+            "triangles": len(complex_.simplices(2))}
 
 
 def _counted(calls: Counter, name: str, oracle):
@@ -91,10 +110,15 @@ def _ops(contract_loop, build, verify_axioms):
     """(op, ladder, run(n), counters(n)) for one implementation."""
     loops = {n: _loop(n) for n in LOOP_LADDER}
 
-    def build_counters(n):
-        k = build(n)
-        return {"vertices": len(k.simplices(0)), "edges": len(k.simplices(1)),
-                "triangles": len(k.simplices(2))}
+    @cache  # per call of _ops, so a layer's inputs go when its rows are done
+    def simplicial(n: int) -> tuple:
+        """build(n), its vertices and its barycentric subdivision."""
+        complex_ = farey.build(n)
+        return complex_, complex_.vertices(), complex_.barycentric()
+
+    def pared(n: int):
+        _, vertices, subdivision = simplicial(n)
+        return remove_open_stars(subdivision, vertices)
 
     def axiom_counters(n):
         report = verify_axioms(n, AXIOM_SAMPLES, SEED)
@@ -105,9 +129,12 @@ def _ops(contract_loop, build, verify_axioms):
          lambda n: contract_loop(farey.adjacent, farey.remoteness, farey.blocking,
                                  loops[n], farey.BASE),
          lambda n: _contract_counters(contract_loop, loops[n])),
-        ("build", FAREY_LADDER, build, build_counters),
+        ("build", FAREY_LADDER, build, lambda n: _sizes(build(n))),
         ("verify_axioms", FAREY_LADDER,
          lambda n: verify_axioms(n, AXIOM_SAMPLES, SEED), axiom_counters),
+        ("barycentric", FAREY_LADDER, lambda n: simplicial(n)[0].barycentric(),
+         lambda n: _sizes(simplicial(n)[2])),
+        ("remove_open_stars", FAREY_LADDER, pared, lambda n: _sizes(pared(n))),
     )
 
 
@@ -132,13 +159,14 @@ def main() -> None:
             for n in ladder:
                 if layer == "slope_reference" and n > REFERENCE_MAX[op]:
                     continue
+                counted = counters(n)  # untimed; also builds the simplicial inputs
                 seconds = _best_of(run, n)
                 records.append({
                     "layer": layer, "op": op, "n": n, "seconds": seconds,
-                    "counters": counters(n), "git_rev": rev, "python": python,
+                    "counters": counted, "git_rev": rev, "python": python,
                 })
                 exponent = "" if previous is None else f"  exponent {math.log2(seconds / previous):.2f}"
-                print(f"{layer:<16} {op:<14} n={n:>5}  {seconds * 1e3:10.2f} ms{exponent}")
+                print(f"{layer:<16} {op:<17} n={n:>5}  {seconds * 1e3:10.2f} ms{exponent}")
                 previous = seconds
     host = {
         "machine": platform.machine(),

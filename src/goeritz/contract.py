@@ -28,11 +28,12 @@ and is asserted at runtime.  The engine stops as soon as every image is
 adjacent to the base vertex, i.e. the loop lies in the base star; a
 loop in the star of a vertex of a flag complex is null-homotopic.
 
-Oracles are pure, so the engine keeps the remoteness of every position
-and the number of positions outside the base star, computed once for
-the input loop and updated per move at the one position that changes:
-a move costs a constant number of oracle calls plus C-level list scans
-(max, index, count, insert), not one remoteness call per position.
+Oracles are pure, so the engine keeps each position's remoteness and the
+number of positions off the base star, plus a level queue (Dial, CACM
+1969, Algorithm 360): n, the count of positions at remoteness n, and
+front, the lowest of them.  Positions only leave level n, so the loop
+is rescanned once per level, not per move; if all m remotenesses
+differ, that is still O(m^2) list work, in C.
 
 Every run returns a replayable certificate.  Oracle answers are checked
 against the contract above; a bad answer raises
@@ -234,21 +235,24 @@ def contract_loop(
         # oracles are pure, so the active image v still has remoteness n
         return n if u == v else remote_checked(u)
 
+    def level() -> tuple[int, int, int]:
+        top = max(rs)
+        return top, rs.count(top), rs.index(top)
+
     # kept per position: oracles are pure, so only an image that enters
     # the loop needs an oracle call
     rs = [remote_checked(v) for v in cur]
     off_star = sum(not adj(v, base) for v in cur)
+    n, count, front = level()
     moves: list = []
     prev_measure: tuple[int, int, int] | None = None
     while off_star:
         m = len(cur)
-        n = max(rs)
-        i = rs.index(n)
-        v = cur[i]
-        left_i, right_i = (i - 1) % m, (i + 1) % m
+        v = cur[front]
+        left_i, right_i = (front - 1) % m, (front + 1) % m
         x_pair = (cur[left_i], cur[right_i])
         value, witness = blocking(x_pair, v)
-        measure = (n, rs.count(n), value)
+        measure = (n, count, value)
         if prev_measure is not None and not measure < prev_measure:
             raise OracleContractViolation(
                 f"progress measure did not decrease: {prev_measure} -> {measure}"
@@ -263,22 +267,28 @@ def contract_loop(
         if problems:
             raise OracleContractViolation(problems[0])
         if value == 0:
-            moves.append(Relabel(i, v, witness))
-            cur[i] = witness
-            rs[i] = remote_checked(witness)
+            moves.append(Relabel(front, v, witness))
+            cur[front] = witness
+            rs[front] = r = remote_checked(witness)
             off_star += (not adj(witness, base)) - (not adj(v, base))
+            count -= 1
         else:
             vp, wp = witness
             sides = [j for j in sorted({left_i, right_i}) if cur[j] == vp]
             j = sides[0]
             if j == right_i:
-                insert_at = i + 1  # slot between i and its right neighbour
+                insert_at = front + 1  # slot between front and its right neighbour
             else:
-                insert_at = i if i > 0 else m  # slot between the left neighbour and i
+                insert_at = front if front > 0 else m  # slot between the left neighbour and front
             moves.append(Subdivide(insert_at, wp))
             cur.insert(insert_at, wp)
-            rs.insert(insert_at, remote_checked(wp))
+            rs.insert(insert_at, r := remote_checked(wp))
             off_star += not adj(wp, base)
+            front += insert_at <= front
+        if r >= n or not count:  # level used up, or an impure oracle's repeat answer
+            n, count, front = level()
+        elif value == 0:
+            front = rs.index(n, front + 1)
     return HomotopyCertificate(moves, list(cur))
 
 
@@ -306,7 +316,7 @@ def validate(
     neighbouring images; each subdivision must be adjacent to both
     flanking images; the replayed loop must equal the recorded final
     loop, which must lie in the star of the base vertex.  An image that
-    makes the adjacency oracle raise fails its move.
+    makes the adjacency oracle raise fails its move (or the final check).
     """
     adj = _reflexive(adjacent)
     cur = list(loop)
@@ -347,6 +357,11 @@ def validate(
     if cur != list(certificate.final):
         return ValidationReport(False, None, "replayed loop differs from recorded final loop")
     for v in cur:
-        if not adj(v, base):
+        try:
+            ok = adj(v, base)
+        except Exception as exc:  # the input loop may hold a non-vertex
+            reason = f"adjacency oracle raised {type(exc).__name__} on final image {v!r}"
+            return ValidationReport(False, None, reason)
+        if not ok:
             return ValidationReport(False, None, f"final image {v!r} outside the base star")
     return ValidationReport(True)

@@ -21,6 +21,8 @@ the maximal-remoteness member v' has v itself as a parent, and w' = v
 is an admissible replacement (every member of X is adjacent to v
 already).
 
+A Slope is the tuple (q, p), so every layer hashes and sorts slopes in C.
+
 This module is an analogue used as an engine fixture, not a model of
 the disk complex the rest of the package is about.
 """
@@ -31,6 +33,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Iterable
 
 from .contract import check_blocking_answer
@@ -57,24 +60,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Slope:
-    """A slope p/q in lowest terms with q >= 0; 1/0 is infinity."""
+class Slope(tuple):
+    """A slope p/q in lowest terms with q >= 0; 1/0 is infinity.
 
-    p: int
-    q: int
+    Held as the tuple (q, p): hash, == and order (q, then p) run in C.  It
+    equals the tuple (q, p) but does not iterate, so it never unpacks as a pair.
+    """
 
-    def __post_init__(self) -> None:
-        if self.q < 0:
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> "Slope":
+        if q < 0:
             raise ValueError("denominator must be non-negative")
-        if self.q == 0 and self.p != 1:
+        if q == 0 and p != 1:
             raise ValueError("infinity is represented as 1/0")
-        if self.q > 0 and gcd(abs(self.p), self.q) != 1:
-            raise ValueError(f"{self.p}/{self.q} is not in lowest terms")
+        if q > 0 and gcd(abs(p), q) != 1:
+            raise ValueError(f"{p}/{q} is not in lowest terms")
+        return tuple.__new__(cls, (q, p))
 
-    def __lt__(self, other: "Slope") -> bool:
-        # deterministic enumeration order, not numeric order
-        return (self.q, self.p) < (other.q, other.p)
+    p = property(itemgetter(1), doc="numerator")
+    q = property(itemgetter(0), doc="denominator")
+
+    def __reduce__(self) -> tuple:
+        return Slope, (self.p, self.q)
+
+    def __iter__(self):
+        raise TypeError("a Slope is one vertex; read .p and .q")
+
+    def __repr__(self) -> str:
+        return f"Slope(p={self.p}, q={self.q})"
 
     def __str__(self) -> str:
         return "inf" if self.q == 0 else f"{self.p}/{self.q}"

@@ -350,6 +350,14 @@ def test_validate_reports_images_the_oracle_rejects():
         assert "AttributeError" in report.reason and repr(move) in report.reason
 
 
+def test_validate_reports_input_images_the_oracle_rejects():
+    # no move touches "junk", so only the final base-star check sees it
+    report = validate(farey.adjacent, HomotopyCertificate([], ["junk"]), ["junk"], farey.BASE)
+    assert not report.ok
+    assert report.failed_move is None
+    assert report.reason == "adjacency oracle raised AttributeError on final image 'junk'"
+
+
 @pytest.mark.parametrize(
     "data",
     [

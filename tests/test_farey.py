@@ -1,5 +1,7 @@
 """Slopes, mediant parents, the truncated complex and its oracles."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goeritz import cli, farey
+from goeritz import cli, contract, farey
 from goeritz.farey import (
     BASE,
     INFINITY,
@@ -56,6 +58,56 @@ def test_parse_and_str():
     assert str(Slope(-3, 2)) == "-3/2"
     for text in ("inf", "0/1", "-17/5"):
         assert str(parse_slope(text)) == text
+
+
+def test_slope_order_is_denominator_then_numerator():
+    slopes = list(build(24, (-3, 3)).vertices())
+    assert sorted(slopes) == sorted(slopes, key=lambda s: (s.q, s.p))
+    rng = random.Random(0)
+    for u, w in (rng.sample(slopes, 2) for _ in range(2000)):
+        key_u, key_w = (u.q, u.p), (w.q, w.p)
+        assert (u < w, u <= w, u > w, u >= w) == (
+            key_u < key_w, key_u <= key_w, key_u > key_w, key_u >= key_w
+        )
+
+
+def test_slope_equality_and_hash_follow_p_and_q():
+    for p, q in ((1, 0), (0, 1), (-3, 2), (5, 7)):
+        u, w = Slope(p, q), slope(p, q)
+        assert u == w and not u != w and hash(u) == hash(w)
+        assert Slope(p=p, q=q) == u
+        assert len({u, w, Slope(p, q)}) == 1
+    assert Slope(1, 2) != Slope(-1, 2) and Slope(1, 2) != Slope(1, 3)
+
+
+def test_slope_repr_and_str():
+    assert repr(Slope(3, 7)) == "Slope(p=3, q=7)"
+    assert repr(INFINITY) == "Slope(p=1, q=0)"
+    assert repr([Slope(-2, 5)]) == "[Slope(p=-2, q=5)]"
+    assert (str(Slope(3, 7)), str(Slope(-2, 1)), str(INFINITY)) == ("3/7", "-2/1", "inf")
+    assert f"{Slope(3, 7)}" == "3/7"
+
+
+def test_slope_pickle_and_copy_round_trip():
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    for u in (INFINITY, Slope(0, 1), Slope(-17, 5)):
+        pickled = [pickle.loads(pickle.dumps(u, proto)) for proto in protocols]
+        for back in pickled + [copy.deepcopy(u), copy.copy(u)]:
+            assert type(back) is Slope
+            assert back == u and (back.p, back.q) == (u.p, u.q)
+            assert repr(back) == repr(u)
+    with pytest.raises(AttributeError):
+        Slope(1, 2).p = 3
+
+
+def test_a_slope_never_unpacks_as_a_pair():
+    # a b > 0 blocking answer whose witness is one slope is malformed
+    with pytest.raises(TypeError):
+        q, p = Slope(3, 7)
+    problems = contract.check_blocking_answer(
+        adjacent, remoteness, (Slope(0, 1),), Slope(1, 2), 3, Slope(0, 1)
+    )
+    assert problems == ["b>0 witness Slope(p=0, q=1) is not a pair (v', w')"]
 
 
 def test_adjacency():

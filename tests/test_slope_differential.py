@@ -197,3 +197,142 @@ def test_lying_remoteness_on_a_subdivision_is_caught(lie):
         messages.append(str(err.value))
     assert "'1c'" in messages[0]
     assert messages[0] == messages[1]
+
+
+# --- the level queue --------------------------------------------------------
+#
+# The engine keeps the maximal remoteness n, the count of positions at n
+# and the lowest of them (front), and moves front when a subdivision is
+# inserted at or before it.  These loops make the engine insert on both
+# sides of front, with front = 0, and across many positions of one level.
+
+
+def _finite_fixture(edges, r, order):
+    """Reflexive adjacency, remoteness and an honest first-found
+    blocking oracle for a finite complex."""
+    edges = {frozenset(e) for e in edges}
+
+    def adjacent(u, w):
+        return u == w or frozenset((u, w)) in edges
+
+    def blocking(x_members, v):
+        for w in order:
+            if r[w] < r[v] and adjacent(w, v) and all(adjacent(u, w) for u in x_members):
+                return 0, w
+        vp = max(x_members, key=r.get)
+        for wp in order:
+            if r[wp] < r[vp] and adjacent(wp, v) and all(
+                adjacent(u, wp) for u in x_members if adjacent(u, vp)
+            ):
+                return sum(r[u] for u in x_members), (vp, wp)
+        raise AssertionError("no witness")
+
+    return adjacent, r.get, blocking
+
+
+# With "2" raised to 3, the pentagon loop subdivides to the right of the
+# active "2" and its mirror image to the left of it.
+RAISED_R = dict(PENTAGON_R, **{"2": 3})
+PENTAGON = (pent_adjacent, pent_remoteness, pent_blocking)
+RAISED = _finite_fixture(PENTAGON_EDGES, RAISED_R, PENTAGON_VERTICES)
+MIRROR_LOOP = ["0", "1b", "2p", "2", "1a"]
+
+
+def _both(oracles, loop, base="0"):
+    """The package certificate, checked against the reference and validate."""
+    cert = contract.contract_loop(*oracles, loop, base)
+    assert cert == ref.contract_loop(*oracles, loop, base)
+    assert contract.validate(oracles[0], cert, loop, base).ok
+    return cert
+
+
+def test_level_queue_inserts_right_of_front():
+    # front is "2" at 2; "1c" goes in at 3, so front stays at 2
+    cert = _both(RAISED, PENTAGON_LOOP)
+    assert cert.moves[:2] == (contract.Subdivide(3, "1c"), contract.Relabel(2, "2", "1d"))
+
+
+def test_level_queue_inserts_left_of_front():
+    # front is "2" at 3; "1c" goes in at 3, so front moves to 4
+    cert = _both(RAISED, MIRROR_LOOP)
+    assert cert.moves[:2] == (contract.Subdivide(3, "1c"), contract.Relabel(4, "2", "1d"))
+
+
+def test_level_queue_appends_when_front_is_zero():
+    # the base "B" itself has the top remoteness, so front is 0; the
+    # offending neighbour "L" is on its left, so "W" is appended at the
+    # end of the loop, and the relabel that follows is still at 0
+    edges = [("B", "R"), ("R", "X"), ("X", "L"), ("L", "B"), ("B", "W"), ("W", "L"),
+             ("W", "X"), ("B", "U"), ("U", "W"), ("U", "R"), ("V", "B"), ("V", "U"),
+             ("V", "W"), ("V", "R"), ("V", "X")]
+    r = {"B": 2, "R": 1, "X": 1, "L": 1, "U": 1, "V": 0, "W": 0}
+    oracles = _finite_fixture(edges, r, ["U", "V", "W", "L", "R", "X", "B"])
+    cert = _both(oracles, ["B", "R", "X", "L"], "B")
+    assert cert.moves == (
+        contract.Subdivide(4, "W"),
+        contract.Relabel(0, "B", "U"),
+        contract.Relabel(0, "U", "V"),
+        contract.Relabel(1, "R", "V"),
+        contract.Relabel(2, "X", "W"),
+    )
+
+
+@given(
+    st.lists(st.booleans(), min_size=1, max_size=40),
+    st.sampled_from([PENTAGON, RAISED]),
+    st.one_of(st.none(), st.integers(1, 120)),
+)
+@settings(max_examples=80, deadline=None)
+def test_subdivision_heavy_pentagon_loops_match_reference(mirrored, oracles, fuel):
+    # concatenated pentagon loops in either direction: many positions at
+    # the top level, and insertions on both sides of front as it advances
+    loop = [u for flip in mirrored for u in (MIRROR_LOOP if flip else PENTAGON_LOOP)]
+    outcomes = []
+    for contract_loop in (contract.contract_loop, ref.contract_loop):
+        try:
+            outcomes.append(contract_loop(*oracles, loop, "0", fuel or contract.DEFAULT_FUEL))
+        except contract.FuelExhausted as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if oracles is RAISED and fuel is None:
+        assert sum(isinstance(m, contract.Subdivide) for m in outcomes[0].moves) == len(mirrored)
+
+
+def _repeat_raises(honest, target, by):
+    """A remoteness oracle that answers `by` higher on every call at
+    `target` after the first one."""
+    seen = []
+
+    def remoteness(u):
+        if u == target:
+            seen.append(u)
+            return honest(u) + (by if len(seen) > 1 else 0)
+        return honest(u)
+
+    return remoteness
+
+
+def test_impure_remoteness_on_a_relabel_witness_raises_like_reference():
+    loop = farey.random_based_loop(16, max_denominator=50)
+    target = _first_inserted_relabel_witness(loop)
+    messages = []
+    for contract_loop in (contract.contract_loop, ref.contract_loop):
+        impure = _repeat_raises(farey.remoteness, target, 1000)
+        with pytest.raises(contract.OracleContractViolation) as err:
+            contract_loop(farey.adjacent, impure, farey.blocking, loop, farey.BASE)
+        messages.append(str(err.value))
+    assert messages[0].startswith("progress measure did not decrease: (")
+    assert messages[0].endswith(f"-> ({target.q + 1000}, 1, 0)")
+    assert messages[0] == messages[1]
+
+
+def test_impure_remoteness_on_a_subdivision_raises_like_reference():
+    adjacent, _, blocking = PENTAGON
+    messages = []
+    for contract_loop in (contract.contract_loop, ref.contract_loop):
+        impure = _repeat_raises(pent_remoteness, "1c", 4)
+        with pytest.raises(contract.OracleContractViolation) as err:
+            contract_loop(adjacent, impure, blocking, PENTAGON_LOOP, "0")
+        messages.append(str(err.value))
+    assert messages[0].startswith("progress measure did not decrease: (2, 2, 3) -> (5, 1, ")
+    assert messages[0] == messages[1]
