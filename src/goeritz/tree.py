@@ -6,16 +6,21 @@ the edge gH joins gP and gQ.  Here the factors are the pair and triple
 stabilizers, so we call the two vertex kinds "pair" and "triple".
 
 Cosets are named by canonical representatives read off the normal form:
-strip the edge-stabilizer tail, then drop a trailing syllable of the
-vertex's own side (it moves within the same coset).  A representative
-is a tuple of (side, power) syllables as in :mod:`goeritz.amalgam`.
-Canonical pair representatives therefore never end in a "P" syllable
-and triple representatives never end in "Q".  Distinct canonical representatives
+a representative is a tuple of (side, power) syllables as in
+:mod:`goeritz.amalgam`, with the edge-stabilizer tail stripped.  An edge
+is named by its representative alone.  The endpoint rule, stated once in
+``_end``: the vertex of a kind at the end of the edge ``rep`` is ``rep``
+with a trailing syllable of that kind's own side ("P" for pair, "Q" for
+triple) dropped, since that syllable moves within the same coset.
+Canonical pair representatives therefore never end in "P" and triple
+representatives never end in "Q".  Distinct canonical representatives
 name distinct cosets because normal forms are unique.
 
 A pair vertex meets the edges g b^k H for all k (truncated to
 |k| <= max_power); a triple vertex meets exactly the three edges
-gH, g d H, g d^2 H.
+gH, g d H, g d^2 H.  ``ball``, ``is_tree`` and ``to_dot`` work on plain
+``(kind, rep)`` keys; ``ball`` builds one checked ``CosetVertex`` or
+``TreeEdge`` per object it returns, and the other two build none.
 """
 
 from __future__ import annotations
@@ -61,8 +66,7 @@ class CosetVertex:
         if self.kind not in (PAIR, TRIPLE):
             raise ValueError(f"unknown vertex kind {self.kind!r}")
         check_syllables(self.rep)
-        own = "P" if self.kind == PAIR else "Q"
-        if self.rep and self.rep[-1][0] == own:
+        if _end(self.kind, self.rep)[1] != self.rep:
             raise ValueError("representative not canonical for this kind")
 
     def __str__(self) -> str:
@@ -100,18 +104,18 @@ def base_edge() -> TreeEdge:
     return TreeEdge(())
 
 
-def _canonical_vertex(kind: str, syllables: tuple[tuple[str, int], ...]) -> CosetVertex:
-    own = "P" if kind == PAIR else "Q"
-    if syllables and syllables[-1][0] == own:
-        syllables = syllables[:-1]
-    return CosetVertex(kind, syllables)
+def _end(kind: str, rep: tuple[tuple[str, int], ...]) -> tuple[str, tuple[tuple[str, int], ...]]:
+    """The (kind, rep) key of the vertex of this kind at the end of edge rep."""
+    if rep and rep[-1][0] == ("P" if kind == PAIR else "Q"):
+        rep = rep[:-1]
+    return kind, rep
 
 
 def edge_endpoints(edge: TreeEdge) -> tuple[CosetVertex, CosetVertex]:
     """The pair vertex and triple vertex joined by an edge."""
     return (
-        _canonical_vertex(PAIR, edge.rep),
-        _canonical_vertex(TRIPLE, edge.rep),
+        CosetVertex(*_end(PAIR, edge.rep)),
+        CosetVertex(*_end(TRIPLE, edge.rep)),
     )
 
 
@@ -120,18 +124,12 @@ def rep_word(rep: tuple[tuple[str, int], ...]) -> str:
     return nf_to_word(NormalForm(rep))
 
 
-def _incident(vertex: CosetVertex, max_power: int) -> Iterator[tuple[TreeEdge, CosetVertex]]:
-    """Each edge at a vertex with its far endpoint; past the first, an edge's
-    rep ends on the vertex's side, so it is canonical for the other kind."""
-    rep = vertex.rep
-    if vertex.kind == PAIR:
-        other, steps = TRIPLE, [("P", k) for k in range(-max_power, max_power + 1) if k]
-    else:
-        other, steps = PAIR, [("Q", 1), ("Q", 2)]
-    yield TreeEdge(rep), _canonical_vertex(other, rep)
-    for step in steps:
-        far = rep + (step,)
-        yield TreeEdge(far), CosetVertex(other, far)
+def _incident(kind: str, rep: tuple[tuple[str, int], ...], max_power: int) -> Iterator[tuple]:
+    """The rep of each edge at a vertex, lazily and in ball order: the
+    vertex's own rep, then it with one more syllable of the vertex's side."""
+    yield rep
+    side, powers = ("P", range(-max_power, max_power + 1)) if kind == PAIR else ("Q", (1, 2))
+    yield from (rep + ((side, k),) for k in powers if k)
 
 
 @dataclass
@@ -152,32 +150,35 @@ def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
     """
     if radius < 0 or max_power < 1:
         raise ValueError("radius must be >= 0 and max_power >= 1")
-    vertices = [base_pair_vertex(), base_triple_vertex()]
-    edges = [base_edge()]
+    vertices = [(PAIR, ()), (TRIPLE, ())]
+    edges = [()]
     seen_v = set(vertices)
     seen_e = set(edges)
-    frontier = list(vertices)
+    frontier = vertices[:]
     for _ in range(radius):
-        next_frontier: list[CosetVertex] = []
-        for v in frontier:
-            for e, w in _incident(v, max_power):
+        next_frontier = []
+        for kind, rep in frontier:
+            other = TRIPLE if kind == PAIR else PAIR
+            for e in _incident(kind, rep, max_power):
                 if e not in seen_e:
                     seen_e.add(e)
                     edges.append(e)
+                w = _end(other, e)
                 if w not in seen_v:
+                    if len(vertices) >= cap:
+                        raise ValueError(f"ball exceeded vertex cap {cap}")
                     seen_v.add(w)
                     vertices.append(w)
                     next_frontier.append(w)
-            if len(vertices) > cap:
-                raise ValueError(f"ball exceeded vertex cap {cap}")
         frontier = next_frontier
-    return TreeBall(radius, max_power, vertices, edges)
+    return TreeBall(radius, max_power, [CosetVertex(*w) for w in vertices],
+                    [TreeEdge(e) for e in edges])
 
 
 def act(word: str, vertex: CosetVertex) -> CosetVertex:
     """Left action of a group element (given as a word) on a vertex."""
     moved = mul_nf(normal_form(word), NormalForm(vertex.rep))
-    return _canonical_vertex(vertex.kind, moved.syllables)
+    return CosetVertex(*_end(vertex.kind, moved.syllables))
 
 
 def act_edge(word: str, edge: TreeEdge) -> TreeEdge:
@@ -195,16 +196,16 @@ def is_tree(b: TreeBall) -> bool:
     """Connected, one fewer edge than vertices, and no edge leaving the ball."""
     if len(b.edges) != len(b.vertices) - 1:
         return False
-    neighbours: dict[CosetVertex, list[CosetVertex]] = {v: [] for v in b.vertices}
+    neighbours: dict[tuple, list[tuple]] = {(v.kind, v.rep): [] for v in b.vertices}
     for e in b.edges:
-        p, q = edge_endpoints(e)
+        p, q = _end(PAIR, e.rep), _end(TRIPLE, e.rep)
         try:
             neighbours[p].append(q)
             neighbours[q].append(p)
         except KeyError:  # an endpoint outside the ball
             return False
-    seen = {b.vertices[0]}
-    stack = [b.vertices[0]]
+    stack = [next(iter(neighbours))]  # the first vertex's key
+    seen = set(stack)
     while stack:
         for w in neighbours[stack.pop()]:
             if w not in seen:
@@ -253,13 +254,12 @@ def quotient(b: TreeBall, witness_samples: int = 20) -> QuotientReport:
 
 def to_dot(b: TreeBall) -> str:
     """GraphViz rendering: pair vertices are circles, triple vertices boxes."""
-    ids = {v: f"v{i}" for i, v in enumerate(b.vertices)}
+    ids = {(v.kind, v.rep): f"v{i}" for i, v in enumerate(b.vertices)}
     lines = ["graph coset_tree {"]
     for v in b.vertices:
         shape = "circle" if v.kind == PAIR else "box"
-        lines.append(f'  {ids[v]} [label="{_rep_label(v.rep)}", shape={shape}];')
+        lines.append(f'  {ids[v.kind, v.rep]} [label="{_rep_label(v.rep)}", shape={shape}];')
     for e in b.edges:
-        p, q = edge_endpoints(e)
-        lines.append(f"  {ids[p]} -- {ids[q]};")
+        lines.append(f"  {ids[_end(PAIR, e.rep)]} -- {ids[_end(TRIPLE, e.rep)]};")
     lines.append("}")
     return "\n".join(lines)

@@ -1,9 +1,11 @@
 """The command-line interface: exit codes, determinism, file outputs."""
 
+import hashlib
 import io
 import json
 import os
 import sys
+import time
 
 from goeritz import farey
 from goeritz.cli import main
@@ -197,6 +199,32 @@ def test_ball_over_the_vertex_cap_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: ball exceeded vertex cap 100000\n"
+
+
+def test_huge_max_power_overruns_the_vertex_cap_quickly(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "tree", "--radius", "1", "--max-power", str(10**12))
+    elapsed = time.perf_counter() - t0
+    assert (code, out, err) == (2, "", "error: ball exceeded vertex cap 100000\n")
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+
+# sha256 of the file that `tree --dot PATH` writes, frozen before the
+# endpoint rule moved onto plain keys (tests/cli_golden.json pins only
+# stdout and stderr, which name the path but not the file's bytes)
+DOT_DIGESTS = {
+    (1, 2): "125813a2b9c623fdfc503bfe4a79bd968e93ecb2eb3ec2cafc0a372cefe207e5",
+    (3, 2): "784a7475f6b273e1546c977195c36d95ee5b656b9e9d783af25ac533446351d3",
+    (4, 3): "d39190dae2c2df30247efa005e3125619bb4baba1c62d4098fd2b3d6162c53d0",
+}
+
+
+def test_dot_files_match_the_frozen_digests(capsys, tmp_path):
+    for (radius, max_power), digest in DOT_DIGESTS.items():
+        dot = tmp_path / f"ball_{radius}_{max_power}.dot"
+        argv = ["tree", "--radius", str(radius), "--max-power", str(max_power), "--dot", str(dot)]
+        assert run(capsys, *argv)[0] == 0
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest, (radius, max_power)
 
 
 def test_malformed_complex_file_is_a_usage_error(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Coset-tree balls, the left action, stabilizers and the quotient."""
 
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from goeritz.tree import (
     CosetVertex,
     TreeBall,
     TreeEdge,
+    _end,
     _incident,
     act,
     act_edge,
@@ -70,6 +72,14 @@ def test_ball_argument_validation():
         ball(12, 3, cap=1000)
 
 
+def test_huge_max_power_overruns_the_vertex_cap_quickly():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^ball exceeded vertex cap 1000$"):
+        ball(1, 10**12, cap=1000)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+
 def test_ball_matches_the_reference_in_order():
     sizes = [(r, p) for r in range(6) for p in range(1, 4)] + [(6, 3)]
     for radius, max_power in sizes:
@@ -80,8 +90,12 @@ def test_incident_far_endpoints_agree_with_edge_endpoints():
     vertices = ball(4, 3).vertices
     for max_power in range(1, 4):
         for v in vertices:
-            for e, w in _incident(v, max_power):
-                assert set(edge_endpoints(e)) == {v, w}
+            other = TRIPLE if v.kind == PAIR else PAIR
+            reps = list(_incident(v.kind, v.rep, max_power))
+            assert len(set(reps)) == (2 * max_power + 1 if v.kind == PAIR else 3)
+            for e in reps:
+                far = CosetVertex(*_end(other, e))
+                assert set(edge_endpoints(TreeEdge(e))) == {v, far}
 
 
 def test_is_tree_rejects_an_edge_leaving_the_ball():

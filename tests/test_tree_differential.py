@@ -1,0 +1,94 @@
+"""goeritz.tree against the former coset-tree code in tests/tree_reference.py:
+the same is_tree verdicts on balls and on broken balls, byte-identical DOT
+text, the same vertex-cap overruns, and one constructor check per object
+that ball returns."""
+
+import random
+
+import pytest
+
+import tree_reference as ref
+from goeritz import tree
+from goeritz.tree import PAIR, TreeBall, TreeEdge, ball, is_tree, to_dot
+
+CRITERION_3_SIZES = [(r, p) for r in range(1, 7) for p in range(1, 4)]
+
+
+def _mutants(b: TreeBall, rng: random.Random):
+    """(name, ball) pairs: the ball itself and copies broken in one way."""
+    vs, es = b.vertices, b.edges
+    i, j = rng.randrange(len(vs)), rng.randrange(len(es))
+    leaving = next(v for v in reversed(vs) if v.kind == PAIR)
+    outside = TreeEdge(leaving.rep + (("P", b.max_power + 1),))
+
+    def make(vertices, edges):
+        return TreeBall(b.radius, b.max_power, vertices, edges)
+
+    yield "as built", b
+    yield "drop an edge", make(vs, es[:j] + es[j + 1:])
+    yield "drop a vertex", make(vs[:i] + vs[i + 1:], es)
+    yield "drop the first vertex", make(vs[1:], es)
+    yield "drop the last vertex and edge", make(vs[:-1], es[:-1])
+    yield "drop a vertex and an edge", make(vs[:i] + vs[i + 1:], es[:j] + es[j + 1:])
+    yield "duplicate a vertex", make(vs + [vs[i]], es)
+    yield "duplicate an edge", make(vs, es + [es[j]])
+    yield "duplicate a vertex and an edge", make(vs + [vs[i]], es + [es[j]])
+    yield "duplicate a vertex, drop an edge", make(vs + [vs[i]], es[:j] + es[j + 1:])
+    yield "swap in an edge leaving the ball", make(vs, es[:j] + [outside] + es[j + 1:])
+    yield "add an edge leaving the ball", make(vs, es + [outside])
+    shuffled_vs, shuffled_es = vs[:], es[:]
+    rng.shuffle(shuffled_vs)
+    rng.shuffle(shuffled_es)
+    yield "permute both lists", make(shuffled_vs, shuffled_es)
+    yield "permute and drop an edge", make(shuffled_vs, shuffled_es[1:])
+
+
+@pytest.mark.parametrize("radius, max_power", CRITERION_3_SIZES + [(0, 1), (0, 2), (0, 3)])
+def test_is_tree_verdicts_match_the_reference(radius, max_power):
+    rng = random.Random(radius * 10 + max_power)
+    verdicts = set()
+    for name, b in _mutants(ball(radius, max_power), rng):
+        got, want = is_tree(b), ref.is_tree(b)
+        assert got == want, (radius, max_power, name)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_to_dot_matches_the_reference_byte_for_byte():
+    for radius in range(5):
+        for max_power in range(1, 4):
+            assert to_dot(ball(radius, max_power)) == ref.to_dot(ref.ball(radius, max_power))
+
+
+def test_vertex_cap_overruns_match_the_reference():
+    for radius in range(4):
+        for max_power in (1, 2):
+            for cap in range(-1, 60):
+                try:
+                    got = len(ball(radius, max_power, cap=cap).vertices)
+                except ValueError as exc:
+                    assert str(exc) == f"ball exceeded vertex cap {cap}"
+                    got = None
+                try:
+                    want = len(ref.ball(radius, max_power, cap=cap).vertices)
+                except RuntimeError:
+                    want = None
+                assert got == want, (radius, max_power, cap)
+
+
+def test_one_constructor_check_per_returned_object(monkeypatch):
+    calls = []
+    check = tree.check_syllables
+
+    def counted(rep):
+        calls.append(rep)
+        return check(rep)
+
+    monkeypatch.setattr(tree, "check_syllables", counted)
+    b = ball(6, 3)
+    assert len(b.vertices) + len(b.edges) == 10_051
+    assert len(calls) == 10_051
+    calls.clear()
+    assert is_tree(b)
+    to_dot(b)
+    assert calls == []

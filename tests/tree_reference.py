@@ -1,8 +1,14 @@
-# The coset-tree ball that goeritz.tree used before its one incidence
-# rule, kept unchanged as an independent differential oracle for
-# tests/test_tree.py.  It derives both endpoints of every incident edge
+# The coset-tree code that goeritz.tree used before its endpoint rule
+# moved onto plain (kind, rep) keys, kept unchanged as an independent
+# differential oracle for tests/test_tree.py and
+# tests/test_tree_differential.py.  `ball` is the one from before the
+# single incidence rule: it derives both endpoints of every incident edge
 # through edge_endpoints, so it builds and validates the vertex it is
-# expanding again for each of its edges.
+# expanding again for each of its edges.  `is_tree` and `to_dot` are the
+# ones from before the endpoint rule; they, too, build both endpoint
+# vertices of every edge through edge_endpoints.  `_canonical_vertex`,
+# `edge_endpoints` and `_rep_label` are copied with them, so nothing here
+# runs the package's endpoint code.
 
 from __future__ import annotations
 
@@ -10,14 +16,35 @@ from typing import Iterator
 
 from goeritz.tree import (
     PAIR,
+    TRIPLE,
     CosetVertex,
     TreeBall,
     TreeEdge,
     base_edge,
     base_pair_vertex,
     base_triple_vertex,
-    edge_endpoints,
 )
+
+
+def _rep_label(rep: tuple[tuple[str, int], ...]) -> str:
+    return " ".join(
+        f"{'b' if side == 'P' else 'd'}^{power}" for side, power in rep
+    ) or "1"
+
+
+def _canonical_vertex(kind: str, syllables: tuple[tuple[str, int], ...]) -> CosetVertex:
+    own = "P" if kind == PAIR else "Q"
+    if syllables and syllables[-1][0] == own:
+        syllables = syllables[:-1]
+    return CosetVertex(kind, syllables)
+
+
+def edge_endpoints(edge: TreeEdge) -> tuple[CosetVertex, CosetVertex]:
+    """The pair vertex and triple vertex joined by an edge."""
+    return (
+        _canonical_vertex(PAIR, edge.rep),
+        _canonical_vertex(TRIPLE, edge.rep),
+    )
 
 
 def _incident_edges(vertex: CosetVertex, max_power: int) -> Iterator[TreeEdge]:
@@ -60,3 +87,39 @@ def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
                 raise RuntimeError(f"ball exceeded vertex cap {cap}")
         frontier = next_frontier
     return TreeBall(radius, max_power, vertices, edges)
+
+
+def is_tree(b: TreeBall) -> bool:
+    """Connected, one fewer edge than vertices, and no edge leaving the ball."""
+    if len(b.edges) != len(b.vertices) - 1:
+        return False
+    neighbours: dict[CosetVertex, list[CosetVertex]] = {v: [] for v in b.vertices}
+    for e in b.edges:
+        p, q = edge_endpoints(e)
+        try:
+            neighbours[p].append(q)
+            neighbours[q].append(p)
+        except KeyError:  # an endpoint outside the ball
+            return False
+    seen = {b.vertices[0]}
+    stack = [b.vertices[0]]
+    while stack:
+        for w in neighbours[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(b.vertices)
+
+
+def to_dot(b: TreeBall) -> str:
+    """GraphViz rendering: pair vertices are circles, triple vertices boxes."""
+    ids = {v: f"v{i}" for i, v in enumerate(b.vertices)}
+    lines = ["graph coset_tree {"]
+    for v in b.vertices:
+        shape = "circle" if v.kind == PAIR else "box"
+        lines.append(f'  {ids[v]} [label="{_rep_label(v.rep)}", shape={shape}];')
+    for e in b.edges:
+        p, q = edge_endpoints(e)
+        lines.append(f"  {ids[p]} -- {ids[q]};")
+    lines.append("}")
+    return "\n".join(lines)
