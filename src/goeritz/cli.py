@@ -15,6 +15,7 @@ shell reports it) when the reader of stdout has gone away.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -84,8 +85,9 @@ def _cmd_verify_presentation(args: argparse.Namespace) -> int:
 def _cmd_primitive(args: argparse.Namespace) -> int:
     word = words.parse_word(args.word)
     primitive = words.is_primitive(word)
-    # a nonempty freely reduced word stays nonempty under cyclic reduction
-    certified = word != "" and words.mixed_sign_criterion(word)
+    # a primitive word never has mixed signs, and a nonempty freely
+    # reduced word stays nonempty under cyclic reduction
+    certified = not primitive and word != "" and words.mixed_sign_criterion(word)
     if primitive:
         line = "primitive"
     elif certified:
@@ -306,7 +308,10 @@ def _cmd_contract(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # built on first use and reused: parse_args keeps no state between
+    # calls, and help text reads COLUMNS when it is formatted
     parser = argparse.ArgumentParser(
         prog="goeritz",
         description="Normal forms, coset-tree reports, and contraction certificates.",

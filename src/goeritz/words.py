@@ -82,8 +82,63 @@ def cyclic_reduce(word: str) -> str:
     'xy'
     """
     w = _strip_conjugation(parse_word(word)).translate(_TO_ORDER)
+    return _least_rotation(w).translate(_FROM_ORDER)
+
+
+def _least_rotation(w: str) -> str:
+    # The least rotation of a word over the stand-ins "abcd".  Two
+    # candidate starts i < j, every other start below j already ruled
+    # out (Booth, Inf. Process. Lett. 10, 1980; this two-candidate form
+    # is Shiloach's, J. Algorithms 2, 1981).  If the rotations at i and j
+    # first differ at offset k, the one with the larger letter there
+    # loses, and so do the k starts after it: rotation (loser + t) is
+    # beaten by rotation (winner + t) for t <= k.  Each round adds k + 1
+    # or more to i + j < 2n, so the comparisons total O(n).  Only starts
+    # at the least letter can win, and str.find skips the rest.
+    if not w:
+        return w
+    for least in "abcd":
+        if least in w:
+            break
     n, ww = len(w), w + w
-    return min((ww[i : i + n] for i in range(n)), default="").translate(_FROM_ORDER)
+    i = w.index(least)
+    j = w.find(least, i + 1)
+    while j != -1:
+        k = _common_prefix(ww, i, j, n)
+        if k == n:
+            break  # w is a proper power of period j - i
+        if ww[i + k] < ww[j + k]:
+            j = w.find(least, j + k + 1)
+        else:
+            i, j = j, w.find(least, max(i + k + 1, j + 1))
+    return ww[i : i + n]
+
+
+def _common_prefix(ww: str, i: int, j: int, n: int) -> int:
+    # length, at most n, of the common prefix of ww[i:] and ww[j:]: a few
+    # letter compares, then slice equality over doubling and then halving
+    # lengths, so long agreements (powers, Christoffel words) run in C
+    k = 0
+    while k < 8:
+        if k == n or ww[i + k] != ww[j + k]:
+            return k
+        k += 1
+    step = 8
+    while True:
+        m = min(step, n - k)
+        if ww[i + k : i + k + m] != ww[j + k : j + k + m]:
+            break
+        k += m
+        if k == n:
+            return n
+        step *= 2
+    while m > 1:  # the first difference lies in [k, k + m)
+        half = m // 2
+        if ww[i + k : i + k + half] == ww[j + k : j + k + half]:
+            k, m = k + half, m - half
+        else:
+            m = half
+    return k
 
 
 def abelianize(word: str) -> tuple[int, int]:

@@ -7,7 +7,7 @@ import os
 import sys
 import time
 
-from goeritz import farey
+from goeritz import cli, farey
 from goeritz.cli import main
 from goeritz.contract import HomotopyCertificate, validate
 from goeritz.simplicial import Complex
@@ -239,6 +239,36 @@ def test_malformed_complex_file_is_a_usage_error(capsys, tmp_path):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    # one process, one cached parser: no value, default or error may carry
+    # over from one call to the next
+    sequence = [
+        ("farey", "--n", "6", "--window", "-2", "3", "--json"),
+        ("farey", "--n", "6", "--json"),
+        ("primitive", "--json"),  # no word: usage error
+        ("primitive", "xyXY", "--json"),
+        ("tree", "--radius", "one"),  # not an int: usage error
+        ("tree", "--radius", "1", "--json"),
+    ]
+    reused = [run(capsys, *argv) for argv in sequence]
+    assert [code for code, _, _ in reused] == [0, 0, 2, 1, 2, 0]
+    assert json.loads(reused[0][1])["window"] == [-2, 3]
+    assert json.loads(reused[1][1])["window"] == [0, 1]
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    assert [run(capsys, *argv) for argv in sequence] == reused
+
+
+def test_help_wraps_to_the_columns_at_print_time(capsys, monkeypatch):
+    shown = []
+    for columns in ("200", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run(capsys, "--help")
+        cli._parser.__wrapped__().print_help()
+        assert (code, out) == (0, capsys.readouterr().out), columns
+        shown.append(out)
+    assert shown[0] != shown[1]
 
 
 def test_complex_labels_that_python_would_merge_are_a_usage_error(capsys, tmp_path):

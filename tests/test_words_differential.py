@@ -33,6 +33,69 @@ def test_string_api_matches_reference(text):
         assert words.mixed_sign_criterion(text) == certified
 
 
+# the letter maps that keep inverse pairs together: swap x and y, invert either
+RELABELINGS = tuple(
+    str.maketrans("xXyY", target)
+    for target in ("xXyY", "XxyY", "xXYy", "XxYy", "yYxX", "YyxX", "yYXx", "YyXx")
+)
+
+
+def _rotate(word, turn):
+    turn %= max(len(word), 1)
+    return word[turn:] + word[:turn]
+
+
+def _swap_letters(word, swaps):
+    letters = list(word)
+    for position, letter in swaps:
+        letters[position % len(letters)] = letter
+    return "".join(letters)
+
+
+def _nielsen_image(choices):
+    u, v = "x", "y"
+    for left in choices:
+        u, v = (u + v if left else v + u), u
+    return u
+
+
+_turns = st.integers(0, 400)
+_relabel = st.sampled_from(RELABELINGS)
+# cyclically reduced, so that its powers do not collapse
+_base = (
+    st.text(alphabet="xXyY", min_size=1, max_size=10)
+    .map(lambda text: ref.format_word(ref.cyclic_reduce(ref.parse_word(text))))
+    .filter(bool)
+)
+_swaps = st.lists(st.tuples(st.integers(0, 400), st.sampled_from("xXyY")), max_size=3)
+
+# words of up to about 400 letters whose rotations share long prefixes,
+# so the rotation search meets first differences far past its first few
+# letter compares
+_long_structured_words = st.one_of(
+    st.builds(lambda u, k, t: _rotate(u * k, t), _base, st.integers(2, 40), _turns),
+    st.builds(
+        lambda u, k, v, t: _rotate(u * k + v, t),
+        _base, st.integers(2, 40), st.text(alphabet="xXyY", min_size=1, max_size=10), _turns,
+    ),
+    st.builds(
+        lambda n, swaps, table, t: _rotate(_swap_letters("x" * n + "y", swaps), t).translate(table),
+        st.integers(8, 400), _swaps, _relabel, _turns,
+    ),
+    st.builds(
+        lambda choices, table, t: _rotate(_nielsen_image(choices), t).translate(table),
+        st.lists(st.booleans(), min_size=1, max_size=12), _relabel, _turns,
+    ),
+)
+
+
+@given(_long_structured_words)
+@settings(max_examples=300, deadline=None)
+def test_canonical_rotation_of_long_structured_words(text):
+    expected = ref.format_word(ref.cyclic_reduce(ref.parse_word(text)))
+    assert words.cyclic_reduce(text) == expected
+
+
 @given(st.text(alphabet="xXyYz1 ", max_size=12))
 @settings(max_examples=200)
 def test_invalid_characters_raise_the_reference_error(text):
