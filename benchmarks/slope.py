@@ -3,7 +3,7 @@
 `barycentric` and `remove_open_stars` on `farey.build(n)`, time against
 size.
 
-    python benchmarks/slope.py [--out BENCH_slope.json]
+    python benchmarks/slope.py [--out BENCH_slope.json] [--parent PARENT.json]
 
 contract_loop runs on based loops of 100, 200, ..., 12,800 positions,
 each the concatenation of seeded 50-position `farey.random_based_loop`
@@ -16,12 +16,15 @@ Each rung is timed as the minimum of three repeats with
 or the simplices.
 The rows for layer "slope" time the package in src/; the rows for layer
 "slope_reference" time the former pair-scanning and recompute-every-move
-code kept in tests/slope_reference.py, on the rungs up to REFERENCE_MAX;
-the simplicial layer has no reference, so it has no such rows.  The
-committed BENCH_slope.json also holds rows of layer "slope_parent": the
-"slope" rows of this script run, in the same session, from a checkout of
-the commit before the contraction engine's level queue, merged in by
-hand as the "before" side.
+code kept in tests/slope_reference.py, on the rungs up to REFERENCE_MAX.
+The rows for layer "simplicial_reference" time the former simplicial
+layer kept in tests/simplicial_reference.py on the same complexes:
+`barycentric`, `remove_open_stars`, and "build_closed", which is
+`farey.build(n)` with its simplices closed under faces again by that
+layer's `Complex.__init__`, as `farey.build` did before it handed its
+list over as built.  `--parent` merges the "slope" rows of another
+output of this script (run from a checkout of an earlier commit) as rows
+of layer "slope_parent": the "before" side of a change.
 The printed exponent is log2 of the time ratio between rungs; for
 build and verify_axioms a rung doubles n and so about quadruples the
 vertex count, so linear work there shows as exponent about 2.  The
@@ -49,24 +52,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import simplicial_reference  # noqa: E402
 import slope_reference  # noqa: E402
-from goeritz import contract, farey  # noqa: E402
-from goeritz.simplicial import remove_open_stars  # noqa: E402
+from goeritz import contract, farey, simplicial  # noqa: E402
 from normal_form import cpu_model, git_rev  # noqa: E402
 
 LOOP_LADDER = (100, 200, 400, 800, 1600, 3200, 6400, 12800)  # positions
 FAREY_LADDER = (16, 32, 64, 128)  # max denominator
 SEGMENT = 50
 AXIOM_SAMPLES = 200
-REFERENCE_MAX = {"contract_loop": 1600, "build": 64, "verify_axioms": 64,
-                 "barycentric": 0, "remove_open_stars": 0}
+REFERENCE_MAX = {"contract_loop": 1600, "build": 64, "verify_axioms": 64}
 REPEATS = 3
 SEED = 0
-IMPLEMENTATIONS = {
-    "slope": (contract.contract_loop, farey.build, farey.verify_axioms),
-    "slope_reference": (slope_reference.contract_loop, slope_reference.build,
-                        slope_reference.verify_axioms),
-}
 
 
 def _loop(positions: int) -> list:
@@ -106,19 +103,9 @@ def _contract_counters(contract_loop, loop: list) -> dict:
     }
 
 
-def _ops(contract_loop, build, verify_axioms):
-    """(op, ladder, run(n), counters(n)) for one implementation."""
+def _slope_ops(contract_loop, build, verify_axioms):
+    """(op, ladder, run(n), counters(n)) for one slope-fixture implementation."""
     loops = {n: _loop(n) for n in LOOP_LADDER}
-
-    @cache  # per call of _ops, so a layer's inputs go when its rows are done
-    def simplicial(n: int) -> tuple:
-        """build(n), its vertices and its barycentric subdivision."""
-        complex_ = farey.build(n)
-        return complex_, complex_.vertices(), complex_.barycentric()
-
-    def pared(n: int):
-        _, vertices, subdivision = simplicial(n)
-        return remove_open_stars(subdivision, vertices)
 
     def axiom_counters(n):
         report = verify_axioms(n, AXIOM_SAMPLES, SEED)
@@ -132,10 +119,42 @@ def _ops(contract_loop, build, verify_axioms):
         ("build", FAREY_LADDER, build, lambda n: _sizes(build(n))),
         ("verify_axioms", FAREY_LADDER,
          lambda n: verify_axioms(n, AXIOM_SAMPLES, SEED), axiom_counters),
-        ("barycentric", FAREY_LADDER, lambda n: simplicial(n)[0].barycentric(),
-         lambda n: _sizes(simplicial(n)[2])),
-        ("remove_open_stars", FAREY_LADDER, pared, lambda n: _sizes(pared(n))),
     )
+
+
+def _simplicial_ops(layer):
+    """(op, ladder, run(n), counters(n)) for one simplicial layer, on the
+    simplices of farey.build(n)."""
+
+    @cache  # per call of _simplicial_ops, so a layer's inputs go when its rows are done
+    def inputs(n: int) -> tuple:
+        """build(n) in the layer's Complex, its vertices and its subdivision."""
+        complex_ = layer._raw(farey.build(n).simplices())
+        return complex_, complex_.vertices(), complex_.barycentric()
+
+    def pared(n: int):
+        _, vertices, subdivision = inputs(n)
+        return layer.remove_open_stars(subdivision, vertices)
+
+    ops = [
+        ("barycentric", FAREY_LADDER, lambda n: inputs(n)[0].barycentric(),
+         lambda n: _sizes(inputs(n)[2])),
+        ("remove_open_stars", FAREY_LADDER, pared, lambda n: _sizes(pared(n))),
+    ]
+    if layer is simplicial_reference:
+        def closed(n: int):
+            return layer.Complex(farey.build(n).simplices())
+        ops.append(("build_closed", FAREY_LADDER, closed, lambda n: _sizes(closed(n))))
+    return ops
+
+
+IMPLEMENTATIONS = {
+    "slope": lambda: (*_slope_ops(contract.contract_loop, farey.build, farey.verify_axioms),
+                      *_simplicial_ops(simplicial)),
+    "slope_reference": lambda: _slope_ops(slope_reference.contract_loop, slope_reference.build,
+                                          slope_reference.verify_axioms),
+    "simplicial_reference": lambda: _simplicial_ops(simplicial_reference),
+}
 
 
 def _best_of(run, n: int) -> float:
@@ -150,11 +169,13 @@ def _best_of(run, n: int) -> float:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_slope.json"))
+    parser.add_argument("--parent", metavar="PATH",
+                        help="output of this script at an earlier commit, merged as slope_parent")
     args = parser.parse_args()
     rev, python = git_rev(), platform.python_version()
     records = []
-    for layer, functions in IMPLEMENTATIONS.items():
-        for op, ladder, run, counters in _ops(*functions):
+    for layer, ops in IMPLEMENTATIONS.items():
+        for op, ladder, run, counters in ops():
             previous = None
             for n in ladder:
                 if layer == "slope_reference" and n > REFERENCE_MAX[op]:
@@ -166,8 +187,11 @@ def main() -> None:
                     "counters": counted, "git_rev": rev, "python": python,
                 })
                 exponent = "" if previous is None else f"  exponent {math.log2(seconds / previous):.2f}"
-                print(f"{layer:<16} {op:<17} n={n:>5}  {seconds * 1e3:10.2f} ms{exponent}")
+                print(f"{layer:<20} {op:<17} n={n:>5}  {seconds * 1e3:10.2f} ms{exponent}")
                 previous = seconds
+    if args.parent:
+        parent = json.loads(Path(args.parent).read_text())["records"]
+        records += [dict(r, layer="slope_parent") for r in parent if r["layer"] == "slope"]
     host = {
         "machine": platform.machine(),
         "cpu": cpu_model(),

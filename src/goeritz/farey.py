@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .contract import check_blocking_answer
-from .simplicial import Complex
+from .simplicial import Complex, _raw
 
 __all__ = [
     "Slope",
@@ -223,7 +223,8 @@ def build(n: int, window: tuple[int, int] = (0, 1)) -> Complex:
 
     Edges and triangles come from one parents() call per vertex (see the
     module docstring); a simplex is kept when the window keeps all of
-    its vertices.
+    its vertices.  The list is closed under faces by construction, so it
+    becomes the complex as built, without a second closure pass.
 
     >>> sorted(str(v) for v in build(1).vertices())
     ['0/1', '1/1', 'inf']
@@ -242,16 +243,19 @@ def build(n: int, window: tuple[int, int] = (0, 1)) -> Complex:
                 verts.append(Slope(p, q))
     verts = sorted(set(verts))
     present = set(verts)
-    simplices: list[tuple] = [(u,) for u in verts]
+    simplices = [frozenset((u,)) for u in verts]
     for w in verts[1:]:  # verts[0] is infinity, which has no parents
         a, b = parents(w)
         if a in present:
-            simplices.append((a, w))
+            simplices.append(frozenset((a, w)))
         if b in present:
-            simplices.append((b, w))
+            simplices.append(frozenset((b, w)))
             if a in present:
-                simplices.append((a, b, w))
-    return Complex(simplices)
+                simplices.append(frozenset((a, b, w)))
+    # Closed under faces as built: each edge joins a vertex to a present
+    # parent, and a triangle's third edge joins the two parents, one of
+    # which is a parent of the other, so it is listed with that vertex.
+    return _raw(simplices)
 
 
 @dataclass

@@ -12,13 +12,20 @@ every three pairwise-adjacent distinct vertices span a triangle.
 
 The barycentric subdivision has one vertex per simplex, labelled by the
 sorted tuple of the original labels, and one simplex per chain in the
-face order.  Removing the open stars of the original vertices leaves
-the full subcomplex on the edge and triangle barycenters.
+face order.  Each simplex is labelled once, and every chain through it
+holds that one tuple.  A face's label is read off a sub-tuple of its
+simplex's label: (v,) for a vertex, and for an edge the pair in the
+order it has there, or reversed, since a triangle whose labels only
+sort by repr ({10, 9, "a"} is ("a", 10, 9)) may order an edge against
+its own natural sort ((9, 10)).  Removing the open stars of the
+original vertices leaves the full subcomplex on the edge and triangle
+barycenters: the simplices that avoid every (v,).
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from itertools import combinations
 from typing import Hashable, Iterable
 
@@ -129,11 +136,10 @@ class Complex:
 
     def is_flag(self) -> bool:
         """Every pairwise-adjacent vertex triple spans a triangle."""
-        neighbours = self._neighbours()
-        for e in self.simplices(1):
-            u, w = tuple(e)
+        neighbours, edges = self._graph()
+        for u, w in edges:
             for z in neighbours[u] & neighbours[w]:
-                if frozenset([u, w, z]) not in self._simplices:
+                if frozenset((u, w, z)) not in self._simplices:
                     return False
         return True
 
@@ -144,16 +150,24 @@ class Complex:
             + len(self.simplices(2))
         )
 
-    def _neighbours(self) -> dict[Label, set]:
-        neighbours: dict[Label, set] = {v: set() for v in self.vertices()}
-        for e in self.simplices(1):
-            u, w = tuple(e)
-            neighbours[u].add(w)
-            neighbours[w].add(u)
-        return neighbours
+    def _graph(self) -> tuple[dict[Label, set], list[tuple]]:
+        """The neighbour set of every vertex and the edges as pairs, read
+        off the simplex set in one pass."""
+        neighbours: dict[Label, set] = defaultdict(set)
+        edges = []
+        for s in self._simplices:
+            if len(s) == 2:
+                u, w = s
+                neighbours[u].add(w)
+                neighbours[w].add(u)
+                edges.append((u, w))
+            elif len(s) == 1:
+                for v in s:
+                    neighbours[v]  # an isolated vertex gets an empty set too
+        return neighbours, edges
 
     def _components(self) -> list[set]:
-        neighbours = self._neighbours()
+        neighbours, _ = self._graph()
         seen: set = set()
         parts = []
         for v in neighbours:
@@ -186,24 +200,25 @@ class Complex:
     def barycentric(self) -> "Complex":
         """Barycentric subdivision; barycenters are labelled by the
         sorted tuple of the original simplex labels."""
-        label = {s: _label_sorted(s) for s in self._simplices}
-        out: set[frozenset] = set()
+        label = {}  # every barycenter shares its simplex's one label tuple
         for s in self._simplices:
-            out.add(frozenset([label[s]]))
-        by_size: dict[int, list[frozenset]] = {1: [], 2: [], 3: []}
-        for s in self._simplices:
-            by_size[len(s)].append(s)
-        for t in by_size[2] + by_size[3]:
-            for r in range(1, len(t)):
-                for face in combinations(tuple(t), r):
-                    out.add(frozenset([label[frozenset(face)], label[t]]))
-        for t in by_size[3]:
-            for mid in combinations(tuple(t), 2):
-                for low in mid:
-                    out.add(
-                        frozenset(
-                            [label[frozenset([low])], label[frozenset(mid)], label[t]]
-                        )
+            t = _label_sorted(s)
+            label[t] = t
+        out = [frozenset((t,)) for t in label]
+        for t in label:
+            if len(t) == 1:
+                continue
+            low = [label[(v,)] for v in t]
+            out += [frozenset((u, t)) for u in low]
+            if len(t) == 3:
+                for i, j in ((0, 1), (0, 2), (1, 2)):
+                    a, b = t[i], t[j]
+                    # a repr-ordered triangle may order its edge the other way
+                    mid = label.get((a, b)) or label[(b, a)]
+                    out += (
+                        frozenset((mid, t)),
+                        frozenset((low[i], mid, t)),
+                        frozenset((low[j], mid, t)),
                     )
         return _raw(out)
 
@@ -271,5 +286,4 @@ def remove_open_stars(subdivision: Complex, original_vertices: Iterable[Label]) 
     subdividing; their barycenters carry the labels `(v,)`.
     """
     removed = {(v,) for v in original_vertices}
-    keep = [u for u in subdivision.vertices() if u not in removed]
-    return subdivision.full_subcomplex(keep)
+    return _raw(s for s in subdivision.simplices() if removed.isdisjoint(s))

@@ -1,0 +1,134 @@
+# The simplicial-layer code that goeritz.simplicial used before the
+# barycentric subdivision moved onto shared label tuples, kept unchanged
+# as an independent differential oracle for
+# tests/test_simplicial_differential.py, for the Complex of
+# tests/slope_reference.py and for the "simplicial_reference" rows of
+# benchmarks/slope.py.  `Complex.__init__` re-closes every simplex it is
+# given under faces; `barycentric` builds a frozenset per face to look up
+# its label; `remove_open_stars` scans the vertices for a keep set and
+# takes the full subcomplex on it.  The queries the oracle's users need
+# (`simplices`, `vertices`, `maximal_simplices`, equality and JSON text)
+# are copied with them.  Stdlib only: nothing here imports
+# goeritz.simplicial.
+
+from __future__ import annotations
+
+import json
+from itertools import combinations
+from typing import Hashable, Iterable
+
+Label = Hashable
+
+
+def _label_sorted(labels: Iterable[Label]) -> tuple:
+    """Deterministic tuple of labels, naturally ordered when possible."""
+    try:
+        return tuple(sorted(labels))
+    except TypeError:
+        return tuple(sorted(labels, key=repr))
+
+
+def _as_simplex(vertices: Iterable[Label]) -> frozenset:
+    s = frozenset(vertices)
+    if not 1 <= len(s) <= 3:
+        raise ValueError(f"simplex must have 1..3 vertices, got {len(s)}")
+    return s
+
+
+class Complex:
+    """An abstract simplicial complex of dimension at most 2."""
+
+    __slots__ = ("_simplices",)
+
+    def __init__(self, simplices: Iterable[Iterable[Label]] = ()):
+        closed: set[frozenset] = set()
+        for raw in simplices:
+            s = _as_simplex(raw)
+            closed.add(s)
+            for r in range(1, len(s)):
+                for face in combinations(tuple(s), r):
+                    closed.add(frozenset(face))
+        self._simplices = frozenset(closed)
+
+    def simplices(self, dim: int | None = None) -> frozenset:
+        if dim is None:
+            return self._simplices
+        return frozenset(s for s in self._simplices if len(s) == dim + 1)
+
+    def vertices(self) -> frozenset:
+        return frozenset(v for s in self._simplices if len(s) == 1 for v in s)
+
+    def maximal_simplices(self) -> list[tuple]:
+        # the family is downward closed, so a simplex that is a proper
+        # face of another is a facet (one vertex fewer) of some simplex
+        faces = {s - {v} for s in self._simplices if len(s) > 1 for v in s}
+        tuples = [_label_sorted(s) for s in self._simplices if s not in faces]
+        try:
+            return sorted(tuples)
+        except TypeError:
+            return sorted(tuples, key=repr)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Complex) and self._simplices == other._simplices
+
+    def __hash__(self) -> int:
+        return hash(self._simplices)
+
+    def full_subcomplex(self, keep: Iterable[Label]) -> "Complex":
+        """All simplices whose vertices all lie in `keep`."""
+        keep = set(keep)
+        return _raw(s for s in self._simplices if s <= keep)
+
+    def barycentric(self) -> "Complex":
+        """Barycentric subdivision; barycenters are labelled by the
+        sorted tuple of the original simplex labels."""
+        label = {s: _label_sorted(s) for s in self._simplices}
+        out: set[frozenset] = set()
+        for s in self._simplices:
+            out.add(frozenset([label[s]]))
+        by_size: dict[int, list[frozenset]] = {1: [], 2: [], 3: []}
+        for s in self._simplices:
+            by_size[len(s)].append(s)
+        for t in by_size[2] + by_size[3]:
+            for r in range(1, len(t)):
+                for face in combinations(tuple(t), r):
+                    out.add(frozenset([label[frozenset(face)], label[t]]))
+        for t in by_size[3]:
+            for mid in combinations(tuple(t), 2):
+                for low in mid:
+                    out.add(
+                        frozenset(
+                            [label[frozenset([low])], label[frozenset(mid)], label[t]]
+                        )
+                    )
+        return _raw(out)
+
+    def to_json_dict(self) -> dict:
+        """JSON-ready dict; labels are stringified."""
+        return {
+            "max_simplices": [
+                [str(v) for v in s] for s in self.maximal_simplices()
+            ]
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+
+
+def _raw(simplices: Iterable[frozenset]) -> Complex:
+    # internal: the family is already downward closed
+    c = Complex.__new__(Complex)
+    c._simplices = frozenset(simplices)
+    return c
+
+
+def remove_open_stars(subdivision: Complex, original_vertices: Iterable[Label]) -> Complex:
+    """Drop the open stars of the original vertices from a barycentric
+    subdivision, leaving the full subcomplex on the remaining barycenters.
+
+    `original_vertices` holds the labels the complex had before
+    subdividing; their barycenters carry the labels `(v,)`.
+    """
+    removed = {(v,) for v in original_vertices}
+    keep = [u for u in subdivision.vertices() if u not in removed]
+    return subdivision.full_subcomplex(keep)

@@ -4,13 +4,19 @@
 # tests/test_slope_differential.py and the "before" rows of
 # benchmarks/slope.py.  build and the star table of verify_axioms compare
 # every pair of vertices; contract_loop recomputes remoteness and the
-# base-star test at every position on every move.
+# base-star test at every position on every move.  The slope type is a
+# verbatim copy of farey.Slope as a (q, p) tuple, and Complex is the
+# former simplicial layer of tests/simplicial_reference.py, which closes
+# every simplex under faces, so neither the behaviour nor the timings
+# here move with the package's slope type or simplicial layer.  The
+# oracles (adjacent, remoteness, blocking) are the package's.
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Sequence
 
 from goeritz.contract import (
@@ -28,17 +34,52 @@ from goeritz.contract import (
     check_blocking_answer,
 )
 from goeritz.farey import (
-    BASE,
-    INFINITY,
     AxiomReport,
-    Slope,
     WitnessNotFound,
     adjacent,
     blocking,
     det_intersection,
     remoteness,
 )
-from goeritz.simplicial import Complex
+from simplicial_reference import Complex
+
+
+class Slope(tuple):
+    """A slope p/q in lowest terms with q >= 0; 1/0 is infinity.
+
+    Held as the tuple (q, p): hash, == and order (q, then p) run in C.  It
+    equals the tuple (q, p) but does not iterate, so it never unpacks as a pair.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> "Slope":
+        if q < 0:
+            raise ValueError("denominator must be non-negative")
+        if q == 0 and p != 1:
+            raise ValueError("infinity is represented as 1/0")
+        if q > 0 and gcd(abs(p), q) != 1:
+            raise ValueError(f"{p}/{q} is not in lowest terms")
+        return tuple.__new__(cls, (q, p))
+
+    p = property(itemgetter(1), doc="numerator")
+    q = property(itemgetter(0), doc="denominator")
+
+    def __reduce__(self) -> tuple:
+        return Slope, (self.p, self.q)
+
+    def __iter__(self):
+        raise TypeError("a Slope is one vertex; read .p and .q")
+
+    def __repr__(self) -> str:
+        return f"Slope(p={self.p}, q={self.q})"
+
+    def __str__(self) -> str:
+        return "inf" if self.q == 0 else f"{self.p}/{self.q}"
+
+
+INFINITY = Slope(1, 0)
+BASE = INFINITY
 
 
 def build(n: int, window: tuple[int, int] = (0, 1)) -> Complex:

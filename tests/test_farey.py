@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -28,6 +29,7 @@ from goeritz.farey import (
     slope,
     verify_axioms,
 )
+from goeritz.simplicial import remove_open_stars
 
 
 def test_slope_normalization():
@@ -327,3 +329,41 @@ def test_random_based_loop_shape():
 def test_random_based_loop_is_deterministic():
     assert random_based_loop(7) == random_based_loop(7)
     assert random_based_loop(7) != random_based_loop(8)
+
+
+def _degrees_if_tree(graph):
+    """Vertex degrees of a 1-dimensional complex, after checking that it
+    is connected and has one edge fewer than vertices."""
+    assert graph.dim() == 1
+    vertices = {v for (v,) in graph.simplices(0)}
+    edges = [tuple(e) for e in graph.simplices(1)]
+    assert len(edges) == len(vertices) - 1
+    near = {v: [] for v in vertices}
+    for u, w in edges:
+        near[u].append(w)
+        near[w].append(u)
+    start = next(iter(vertices))
+    seen, stack = {start}, [start]
+    while stack:
+        for w in near[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    assert seen == vertices
+    return {v: len(ws) for v, ws in near.items()}
+
+
+@pytest.mark.parametrize("window", [(0, 1), (-2, 3), (-5, -3)])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_pared_subdivision_is_a_tree(n, window):
+    # the paper's step on the Farey analogue: subdivide, then remove the
+    # open stars of the original vertices
+    complex_ = build(n, window)
+    pared = remove_open_stars(complex_.barycentric(), complex_.vertices())
+    degrees = _degrees_if_tree(pared)
+    for label, degree in degrees.items():
+        assert len(label) in (2, 3)
+        assert degree in ((3,) if len(label) == 3 else (1, 2)), (label, degree)
+    if (n, window) == (64, (0, 1)):
+        assert len(degrees) == 3781
+        assert sorted(Counter(degrees.values()).items()) == [(1, 1262), (2, 1259), (3, 1260)]

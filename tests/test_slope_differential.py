@@ -95,7 +95,7 @@ WINDOWS = [(0, 1), (-2, 3), (1, 1), (0, 0), (-5, -3), (-1, 0), (2, 3), (-3, -2)]
 def test_build_matches_reference_and_pair_scan(window):
     for n in range(1, 25):
         complex_ = farey.build(n, window)
-        assert complex_ == ref.build(n, window), n
+        assert complex_.simplices() == ref.build(n, window).simplices(), n
         if n in (1, 2, 3, 7, 12, 24):
             assert complex_ == _brute_force_build(n, window), n
 
