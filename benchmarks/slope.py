@@ -10,10 +10,9 @@ each the concatenation of seeded 50-position `farey.random_based_loop`
 segments (the shape the benchmark's slope_fixture workload uses);
 build(n), verify_axioms(n, 200, seed), build(n).barycentric() and
 remove_open_stars on that subdivision run at n = 16, 32, 64, 128 (the
-complex they start from is built outside the timing).
-Each rung is timed as the minimum of three repeats with
-`time.perf_counter`, after one untimed run that counts the oracle calls
-or the simplices.
+complex they start from is built outside the timing).  Each rung is
+timed as the minimum of three repeats; the untimed probe counts the
+oracle calls or the simplices.
 The rows for layer "slope" time the package in src/; the rows for layer
 "slope_reference" time the former pair-scanning and recompute-every-move
 code kept in tests/slope_reference.py, on the rungs up to REFERENCE_MAX.
@@ -22,40 +21,22 @@ layer kept in tests/simplicial_reference.py on the same complexes:
 `barycentric`, `remove_open_stars`, and "build_closed", which is
 `farey.build(n)` with its simplices closed under faces again by that
 layer's `Complex.__init__`, as `farey.build` did before it handed its
-list over as built.  `--parent` merges the "slope" rows of another
-output of this script (run from a checkout of an earlier commit) as rows
-of layer "slope_parent": the "before" side of a change.
-The printed exponent is log2 of the time ratio between rungs; for
-build and verify_axioms a rung doubles n and so about quadruples the
-vertex count, so linear work there shows as exponent about 2.  The
-same holds for the simplicial rows.
-
-Stdlib only.  Writes a JSON object {"host": {...}, "records": [...]}
-with one record {layer, op, n, seconds, counters, git_rev, python} per
-rung.
+list over as built.  For build and verify_axioms a rung doubles n and
+so about quadruples the vertex count, so linear work there shows as
+exponent about 2; the same holds for the simplicial rows.  Timer,
+record format and `--parent` are those of benchmarks/ladder.py.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import os
-import platform
 import random
-import sys
-import time
 from collections import Counter
-from functools import cache
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-import simplicial_reference  # noqa: E402
-import slope_reference  # noqa: E402
-from goeritz import contract, farey, simplicial  # noqa: E402
-from normal_form import cpu_model, git_rev  # noqa: E402
+import ladder  # first: it puts src/ and tests/ on sys.path
+import simplicial_reference
+import slope_reference
+from goeritz import contract, farey, simplicial
 
 LOOP_LADDER = (100, 200, 400, 800, 1600, 3200, 6400, 12800)  # positions
 FAREY_LADDER = (16, 32, 64, 128)  # max denominator
@@ -86,123 +67,81 @@ def _counted(calls: Counter, name: str, oracle):
     return wrapper
 
 
-def _contract_counters(contract_loop, loop: list) -> dict:
-    calls: Counter = Counter()
-    oracles = [
-        _counted(calls, name, oracle)
-        for name, oracle in (("adjacent", farey.adjacent), ("remoteness", farey.remoteness),
-                             ("blocking", farey.blocking))
-    ]
-    cert = contract_loop(*oracles, loop, farey.BASE)
-    moves = len(cert.moves)
-    return {
-        "positions": len(loop),
-        "moves": moves,
-        "oracle_calls": dict(sorted(calls.items())),
-        "remoteness_calls_per_move": calls["remoteness"] / max(moves, 1),
-    }
+def _rungs(ladder_, make=lambda n: n, top: float = math.inf):
+    return ((n, make(n)) for n in ladder_ if n <= top)
 
 
-def _slope_ops(contract_loop, build, verify_axioms):
-    """(op, ladder, run(n), counters(n)) for one slope-fixture implementation."""
-    loops = {n: _loop(n) for n in LOOP_LADDER}
+def _slope_rows(layer: str, contract_loop, build, verify_axioms, top: dict):
+    """Rows for one slope-fixture implementation, on the rungs up to top[op]."""
 
-    def axiom_counters(n):
-        report = verify_axioms(n, AXIOM_SAMPLES, SEED)
+    def contract_counters(loop: list) -> dict:
+        calls: Counter = Counter()
+        oracles = [
+            _counted(calls, name, oracle)
+            for name, oracle in (("adjacent", farey.adjacent), ("remoteness", farey.remoteness),
+                                 ("blocking", farey.blocking))
+        ]
+        moves = len(contract_loop(*oracles, loop, farey.BASE).moves)
+        return {
+            "positions": len(loop),
+            "moves": moves,
+            "oracle_calls": dict(sorted(calls.items())),
+            "remoteness_calls_per_move": calls["remoteness"] / max(moves, 1),
+        }
+
+    def axioms(n: int):
+        return verify_axioms(n, AXIOM_SAMPLES, SEED)
+
+    def axiom_counters(n: int) -> dict:
+        report = axioms(n)
         return {"samples": report.samples, "violations": len(report.violations)}
 
-    return (
-        ("contract_loop", LOOP_LADDER,
-         lambda n: contract_loop(farey.adjacent, farey.remoteness, farey.blocking,
-                                 loops[n], farey.BASE),
-         lambda n: _contract_counters(contract_loop, loops[n])),
-        ("build", FAREY_LADDER, build, lambda n: _sizes(build(n))),
-        ("verify_axioms", FAREY_LADDER,
-         lambda n: verify_axioms(n, AXIOM_SAMPLES, SEED), axiom_counters),
-    )
-
-
-def _simplicial_ops(layer):
-    """(op, ladder, run(n), counters(n)) for one simplicial layer, on the
-    simplices of farey.build(n)."""
-
-    @cache  # per call of _simplicial_ops, so a layer's inputs go when its rows are done
-    def inputs(n: int) -> tuple:
-        """build(n) in the layer's Complex, its vertices and its subdivision."""
-        complex_ = layer._raw(farey.build(n).simplices())
-        return complex_, complex_.vertices(), complex_.barycentric()
-
-    def pared(n: int):
-        _, vertices, subdivision = inputs(n)
-        return layer.remove_open_stars(subdivision, vertices)
-
-    ops = [
-        ("barycentric", FAREY_LADDER, lambda n: inputs(n)[0].barycentric(),
-         lambda n: _sizes(inputs(n)[2])),
-        ("remove_open_stars", FAREY_LADDER, pared, lambda n: _sizes(pared(n))),
+    return [
+        (layer, "contract_loop", _rungs(LOOP_LADDER, _loop, top.get("contract_loop", math.inf)),
+         lambda loop: contract_loop(farey.adjacent, farey.remoteness, farey.blocking,
+                                    loop, farey.BASE),
+         contract_counters),
+        (layer, "build", _rungs(FAREY_LADDER, top=top.get("build", math.inf)), build,
+         lambda n: _sizes(build(n))),
+        (layer, "verify_axioms", _rungs(FAREY_LADDER, top=top.get("verify_axioms", math.inf)),
+         axioms, axiom_counters),
     ]
-    if layer is simplicial_reference:
+
+
+def _simplicial_rows(layer: str, module):
+    """Rows for one simplicial layer, on the simplices of farey.build(n)."""
+
+    def built(n: int):
+        return module._raw(farey.build(n).simplices())
+
+    def subdivided(n: int) -> tuple:
+        complex_ = built(n)
+        return complex_.barycentric(), complex_.vertices()
+
+    def pared(inputs: tuple):
+        return module.remove_open_stars(*inputs)
+
+    rows = [
+        (layer, "barycentric", _rungs(FAREY_LADDER, built),
+         lambda c: c.barycentric(), lambda c: _sizes(c.barycentric())),
+        (layer, "remove_open_stars", _rungs(FAREY_LADDER, subdivided),
+         pared, lambda inputs: _sizes(pared(inputs))),
+    ]
+    if module is simplicial_reference:
         def closed(n: int):
-            return layer.Complex(farey.build(n).simplices())
-        ops.append(("build_closed", FAREY_LADDER, closed, lambda n: _sizes(closed(n))))
-    return ops
+            return module.Complex(farey.build(n).simplices())
+        rows.append((layer, "build_closed", _rungs(FAREY_LADDER), closed,
+                     lambda n: _sizes(closed(n))))
+    return rows
 
 
-IMPLEMENTATIONS = {
-    "slope": lambda: (*_slope_ops(contract.contract_loop, farey.build, farey.verify_axioms),
-                      *_simplicial_ops(simplicial)),
-    "slope_reference": lambda: _slope_ops(slope_reference.contract_loop, slope_reference.build,
-                                          slope_reference.verify_axioms),
-    "simplicial_reference": lambda: _simplicial_ops(simplicial_reference),
-}
-
-
-def _best_of(run, n: int) -> float:
-    best = math.inf
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        run(n)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_slope.json"))
-    parser.add_argument("--parent", metavar="PATH",
-                        help="output of this script at an earlier commit, merged as slope_parent")
-    args = parser.parse_args()
-    rev, python = git_rev(), platform.python_version()
-    records = []
-    for layer, ops in IMPLEMENTATIONS.items():
-        for op, ladder, run, counters in ops():
-            previous = None
-            for n in ladder:
-                if layer == "slope_reference" and n > REFERENCE_MAX[op]:
-                    continue
-                counted = counters(n)  # untimed; also builds the simplicial inputs
-                seconds = _best_of(run, n)
-                records.append({
-                    "layer": layer, "op": op, "n": n, "seconds": seconds,
-                    "counters": counted, "git_rev": rev, "python": python,
-                })
-                exponent = "" if previous is None else f"  exponent {math.log2(seconds / previous):.2f}"
-                print(f"{layer:<20} {op:<17} n={n:>5}  {seconds * 1e3:10.2f} ms{exponent}")
-                previous = seconds
-    if args.parent:
-        parent = json.loads(Path(args.parent).read_text())["records"]
-        records += [dict(r, layer="slope_parent") for r in parent if r["layer"] == "slope"]
-    host = {
-        "machine": platform.machine(),
-        "cpu": cpu_model(),
-        "cpus": os.cpu_count(),
-        "system": platform.system(),
-        "repeats": REPEATS,
-        "timer": "time.perf_counter, minimum over repeats",
-    }
-    Path(args.out).write_text(json.dumps({"host": host, "records": records}, indent=1) + "\n")
-    print(f"wrote {len(records)} records to {args.out}")
+def _rows():
+    yield from _slope_rows("slope", contract.contract_loop, farey.build, farey.verify_axioms, {})
+    yield from _simplicial_rows("slope", simplicial)
+    yield from _slope_rows("slope_reference", slope_reference.contract_loop,
+                           slope_reference.build, slope_reference.verify_axioms, REFERENCE_MAX)
+    yield from _simplicial_rows("simplicial_reference", simplicial_reference)
 
 
 if __name__ == "__main__":
-    main()
+    ladder.main(__doc__, "BENCH_slope.json", REPEATS, _rows())

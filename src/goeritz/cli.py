@@ -35,7 +35,7 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
 
 
 def _cmd_nf(args: argparse.Namespace) -> int:
-    nf = amalgam.normal_form(amalgam.parse(args.word))
+    nf = amalgam.normal_form(args.word)
     payload = {
         "claim": "alternating normal form of the given word",
         "word": args.word,
@@ -49,7 +49,7 @@ def _cmd_nf(args: argparse.Namespace) -> int:
 
 
 def _cmd_eq(args: argparse.Namespace) -> int:
-    equal = amalgam.are_equal(amalgam.parse(args.left), amalgam.parse(args.right))
+    equal = amalgam.are_equal(args.left, args.right)
     payload = {
         "claim": "the two words have the same normal form",
         "left": args.left,
@@ -164,11 +164,9 @@ def _cmd_stabilizers(args: argparse.Namespace) -> int:
     triple = stabilizers.triple_elements()
     edge = stabilizers.edge_elements()
     base_p, base_t = tree.base_pair_vertex(), tree.base_triple_vertex()
-    triple_fix = all(
-        tree.act(amalgam.parse(_element_word(e)), base_t) == base_t for e in triple
-    )
+    triple_fix = all(tree.act(_element_word(e), base_t) == base_t for e in triple)
     pair_fix = {
-        name: tree.act(amalgam.parse(word), base_p) == base_p
+        name: tree.act(word, base_p) == base_p
         for name, word in (("b", "b"), ("g", "g"), ("t", "t"))
     }
     d_moves = tree.act("d", base_p) != base_p

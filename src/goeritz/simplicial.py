@@ -86,10 +86,7 @@ class Complex:
         # face of another is a facet (one vertex fewer) of some simplex
         faces = {s - {v} for s in self._simplices if len(s) > 1 for v in s}
         tuples = [_label_sorted(s) for s in self._simplices if s not in faces]
-        try:
-            return sorted(tuples)
-        except TypeError:
-            return sorted(tuples, key=repr)
+        return list(_label_sorted(tuples))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Complex) and self._simplices == other._simplices
