@@ -3,24 +3,25 @@
 
     python benchmarks/tree.py [--out BENCH_tree.json] [--parent PARENT.json]
 
-The rungs are the (radius, max_power) balls of the benchmark's
-short_words workload (perfbench/workloads.py BALL_LADDER) plus (7, 3):
-200 to 18,850 vertices, n being the ball's vertex count.  is_tree,
-to_dot and quotient run on a ball built outside the timing.  Each rung
-is timed as the minimum of three repeats; the untimed probe counts the
-calls of `amalgam.check_syllables` (the one syllable check, run by every
-`CosetVertex` and `TreeEdge` constructor) by wrapping the name that
-goeritz.tree looks it up by.  The rows for layer "tree" time the package
-in src/.  Timer, record format and `--parent` are those of
+The rungs are the balls (radius, 2) for radius 3 to 8: 72, 200, 584,
+1,608, 4,680 and 12,872 vertices, about 2.8x per rung, n being the
+ball's vertex count.  is_tree, to_dot and quotient run on a ball built
+outside the timing.  Each rung is timed as the minimum of three
+repeats; the untimed probe counts the calls of
+`amalgam.check_syllables` (the one syllable check, run by every
+`NormalForm`) by wrapping it under each module name it is looked up
+by: goeritz.amalgam's, and goeritz.tree's at earlier commits whose
+vertex classes imported it.  The rows for layer "tree" time the
+package in src/.  Timer, record format and `--parent` are those of
 benchmarks/ladder.py.
 """
 
 from __future__ import annotations
 
 import ladder  # first: it puts src/ and tests/ on sys.path
-from goeritz import tree
+from goeritz import amalgam, tree
 
-BALL_LADDER = ((4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3), (7, 3))  # (radius, max_power)
+BALL_LADDER = tuple((radius, 2) for radius in range(3, 9))  # (radius, max_power)
 REPEATS = 3
 OPS = {
     "ball": lambda b: tree.ball(b.radius, b.max_power),
@@ -39,18 +40,21 @@ def _balls():
 def _probe(run):
     def counters(b) -> dict:
         calls = 0
-        check = tree.check_syllables
+        check = amalgam.check_syllables
 
         def counted(rep):
             nonlocal calls
             calls += 1
             return check(rep)
 
-        tree.check_syllables = counted
+        modules = [m for m in (amalgam, tree) if getattr(m, "check_syllables", None) is check]
+        for m in modules:
+            m.check_syllables = counted
         try:
             run(b)
         finally:
-            tree.check_syllables = check
+            for m in modules:
+                m.check_syllables = check
         return {"radius": b.radius, "max_power": b.max_power,
                 "vertices": len(b.vertices), "edges": len(b.edges), "check_syllables": calls}
     return counters

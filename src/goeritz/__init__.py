@@ -1,6 +1,6 @@
 """Computational model of the genus-2 Goeritz group.
 
-Subpackages:
+Modules:
     words        free group F_2, linear primitivity test
     stabilizers  the three stabilizer groups with exact normal forms
     amalgam      amalgamated-product normal forms, word problem

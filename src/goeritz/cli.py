@@ -95,7 +95,7 @@ def _cmd_primitive(args: argparse.Namespace) -> int:
     else:
         line = "not primitive"
     payload = {
-        "claim": "greedy length descent decides primitivity",
+        "claim": "Christoffel descent decides primitivity",
         "word": args.word,
         "primitive": primitive,
         "mixed_sign_certificate": certified,

@@ -250,7 +250,11 @@ class Complex:
 
     @classmethod
     def from_json(cls, text: str) -> "Complex":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("JSON nested too deeply") from None
+        return cls.from_json_dict(data)
 
     def to_dot(self) -> str:
         """GraphViz rendering of a complex of dimension at most 1."""

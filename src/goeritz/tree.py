@@ -18,9 +18,10 @@ name distinct cosets because normal forms are unique.
 
 A pair vertex meets the edges g b^k H for all k (truncated to
 |k| <= max_power); a triple vertex meets exactly the three edges
-gH, g d H, g d^2 H.  ``ball``, ``is_tree`` and ``to_dot`` work on plain
-``(kind, rep)`` keys; ``ball`` builds one checked ``CosetVertex`` or
-``TreeEdge`` per object it returns, and the other two build none.
+gH, g d H, g d^2 H.  A vertex is the plain key ``(kind, rep)`` and an
+edge is its ``rep``, everywhere: ``ball``, ``is_tree`` and ``to_dot``
+build and check no per-vertex object, and ``act`` and ``act_edge``
+check the vertex or edge they are given.
 """
 
 from __future__ import annotations
@@ -28,19 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .amalgam import NormalForm, check_syllables, mul_nf, nf_to_word, normal_form
+from .amalgam import NormalForm, mul_nf, nf_to_word, normal_form
 
 __all__ = [
     "PAIR",
     "TRIPLE",
-    "CosetVertex",
-    "TreeEdge",
     "TreeBall",
     "base_pair_vertex",
     "base_triple_vertex",
     "base_edge",
     "edge_endpoints",
     "rep_word",
+    "vertex_label",
     "ball",
     "act",
     "act_edge",
@@ -53,78 +53,52 @@ __all__ = [
 
 PAIR = "pair"
 TRIPLE = "triple"
+Rep = tuple[tuple[str, int], ...]  # a canonical representative; an edge is its Rep
+Vertex = tuple[str, Rep]  # (kind, rep)
 
 
-@dataclass(frozen=True, slots=True)
-class CosetVertex:
-    """A coset of the pair or triple stabilizer, canonically named."""
-
-    kind: str
-    rep: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in (PAIR, TRIPLE):
-            raise ValueError(f"unknown vertex kind {self.kind!r}")
-        check_syllables(self.rep)
-        if _end(self.kind, self.rep)[1] != self.rep:
-            raise ValueError("representative not canonical for this kind")
-
-    def __str__(self) -> str:
-        return f"{self.kind}[{_rep_label(self.rep)}]"
-
-
-@dataclass(frozen=True, slots=True)
-class TreeEdge:
-    """A coset of the edge stabilizer."""
-
-    rep: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        check_syllables(self.rep)
-
-    def __str__(self) -> str:
-        return f"edge[{_rep_label(self.rep)}]"
-
-
-def _rep_label(rep: tuple[tuple[str, int], ...]) -> str:
+def _rep_label(rep: Rep) -> str:
     return " ".join(
         f"{'b' if side == 'P' else 'd'}^{power}" for side, power in rep
     ) or "1"
 
 
-def base_pair_vertex() -> CosetVertex:
-    return CosetVertex(PAIR, ())
+def vertex_label(vertex: Vertex) -> str:
+    """The vertex as text, such as ``pair[b^1 d^2]``."""
+    kind, rep = vertex
+    return f"{kind}[{_rep_label(rep)}]"
 
 
-def base_triple_vertex() -> CosetVertex:
-    return CosetVertex(TRIPLE, ())
+def base_pair_vertex() -> Vertex:
+    return PAIR, ()
 
 
-def base_edge() -> TreeEdge:
-    return TreeEdge(())
+def base_triple_vertex() -> Vertex:
+    return TRIPLE, ()
 
 
-def _end(kind: str, rep: tuple[tuple[str, int], ...]) -> tuple[str, tuple[tuple[str, int], ...]]:
+def base_edge() -> Rep:
+    return ()
+
+
+def _end(kind: str, rep: Rep) -> Vertex:
     """The (kind, rep) key of the vertex of this kind at the end of edge rep."""
     if rep and rep[-1][0] == ("P" if kind == PAIR else "Q"):
         rep = rep[:-1]
     return kind, rep
 
 
-def edge_endpoints(edge: TreeEdge) -> tuple[CosetVertex, CosetVertex]:
-    """The pair vertex and triple vertex joined by an edge."""
-    return (
-        CosetVertex(*_end(PAIR, edge.rep)),
-        CosetVertex(*_end(TRIPLE, edge.rep)),
-    )
+def edge_endpoints(rep: Rep) -> tuple[Vertex, Vertex]:
+    """The pair vertex and triple vertex joined by the edge rep."""
+    return _end(PAIR, rep), _end(TRIPLE, rep)
 
 
-def rep_word(rep: tuple[tuple[str, int], ...]) -> str:
+def rep_word(rep: Rep) -> str:
     """A generator word spelling a canonical representative."""
     return nf_to_word(NormalForm(rep))
 
 
-def _incident(kind: str, rep: tuple[tuple[str, int], ...], max_power: int) -> Iterator[tuple]:
+def _incident(kind: str, rep: Rep, max_power: int) -> Iterator[Rep]:
     """The rep of each edge at a vertex, lazily and in ball order: the
     vertex's own rep, then it with one more syllable of the vertex's side."""
     yield rep
@@ -134,12 +108,13 @@ def _incident(kind: str, rep: tuple[tuple[str, int], ...], max_power: int) -> It
 
 @dataclass
 class TreeBall:
-    """A finite ball around the base edge, vertices in BFS order."""
+    """A finite ball around the base edge, vertices in BFS order: each a
+    ``(kind, rep)`` key, each edge its ``rep``."""
 
     radius: int
     max_power: int
-    vertices: list[CosetVertex]
-    edges: list[TreeEdge]
+    vertices: list[Vertex]
+    edges: list[Rep]
 
 
 def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
@@ -171,23 +146,30 @@ def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
                     vertices.append(w)
                     next_frontier.append(w)
         frontier = next_frontier
-    return TreeBall(radius, max_power, [CosetVertex(*w) for w in vertices],
-                    [TreeEdge(e) for e in edges])
+    return TreeBall(radius, max_power, vertices, edges)
 
 
-def act(word: str, vertex: CosetVertex) -> CosetVertex:
-    """Left action of a group element (given as a word) on a vertex."""
-    moved = mul_nf(normal_form(word), NormalForm(vertex.rep))
-    return CosetVertex(*_end(vertex.kind, moved.syllables))
+def act(word: str, vertex: Vertex) -> Vertex:
+    """Left action of a group element (given as a word) on a vertex.
+
+    Raises ValueError unless the vertex is a ``(kind, rep)`` key with a
+    known kind and a canonical rep for it.
+    """
+    kind, rep = vertex
+    if kind not in (PAIR, TRIPLE):
+        raise ValueError(f"unknown vertex kind {kind!r}")
+    nf = NormalForm(rep)  # checks the syllables
+    if _end(kind, rep)[1] != rep:
+        raise ValueError("representative not canonical for this kind")
+    return _end(kind, mul_nf(normal_form(word), nf).syllables)
 
 
-def act_edge(word: str, edge: TreeEdge) -> TreeEdge:
+def act_edge(word: str, rep: Rep) -> Rep:
     """Left action on an edge."""
-    moved = mul_nf(normal_form(word), NormalForm(edge.rep))
-    return TreeEdge(moved.syllables)
+    return mul_nf(normal_form(word), NormalForm(rep)).syllables
 
 
-def stabilizer_of(vertex: CosetVertex, words: Iterable[str]) -> list[str]:
+def stabilizer_of(vertex: Vertex, words: Iterable[str]) -> list[str]:
     """The candidate words that fix the vertex."""
     return [w for w in words if act(w, vertex) == vertex]
 
@@ -196,9 +178,9 @@ def is_tree(b: TreeBall) -> bool:
     """Connected, one fewer edge than vertices, and no edge leaving the ball."""
     if len(b.edges) != len(b.vertices) - 1:
         return False
-    neighbours: dict[tuple, list[tuple]] = {(v.kind, v.rep): [] for v in b.vertices}
+    neighbours: dict[Vertex, list[Vertex]] = {v: [] for v in b.vertices}
     for e in b.edges:
-        p, q = _end(PAIR, e.rep), _end(TRIPLE, e.rep)
+        p, q = _end(PAIR, e), _end(TRIPLE, e)
         try:
             neighbours[p].append(q)
             neighbours[q].append(p)
@@ -239,27 +221,31 @@ class QuotientReport:
 
 
 def quotient(b: TreeBall, witness_samples: int = 20) -> QuotientReport:
-    """Collapse a ball to the quotient edge, with action witnesses."""
+    """Collapse a ball to the quotient edge, with action witnesses.
+
+    Raises ValueError if witness_samples is negative.
+    """
+    if witness_samples < 0:
+        raise ValueError("witness_samples must be >= 0")
     count = min(witness_samples, len(b.vertices))
-    step = max(1, len(b.vertices) // count)
-    sampled = b.vertices[::step][:count]
-    bases = {PAIR: base_pair_vertex(), TRIPLE: base_triple_vertex()}
+    sampled = b.vertices[::max(1, len(b.vertices) // count)][:count] if count else []
     witnesses = []
     for v in sampled:
-        word = rep_word(v.rep)
-        good = act(word, bases[v.kind]) == v
-        witnesses.append((str(v), word, good))
+        kind, rep = v
+        word = rep_word(rep)
+        witnesses.append((vertex_label(v), word, act(word, (kind, ())) == v))
     return QuotientReport((PAIR, TRIPLE), ((PAIR, TRIPLE),), witnesses)
 
 
 def to_dot(b: TreeBall) -> str:
     """GraphViz rendering: pair vertices are circles, triple vertices boxes."""
-    ids = {(v.kind, v.rep): f"v{i}" for i, v in enumerate(b.vertices)}
+    ids = {v: f"v{i}" for i, v in enumerate(b.vertices)}
     lines = ["graph coset_tree {"]
     for v in b.vertices:
-        shape = "circle" if v.kind == PAIR else "box"
-        lines.append(f'  {ids[v.kind, v.rep]} [label="{_rep_label(v.rep)}", shape={shape}];')
+        kind, rep = v
+        shape = "circle" if kind == PAIR else "box"
+        lines.append(f'  {ids[v]} [label="{_rep_label(rep)}", shape={shape}];')
     for e in b.edges:
-        lines.append(f"  {ids[_end(PAIR, e.rep)]} -- {ids[_end(TRIPLE, e.rep)]};")
+        lines.append(f"  {ids[_end(PAIR, e)]} -- {ids[_end(TRIPLE, e)]};")
     lines.append("}")
     return "\n".join(lines)

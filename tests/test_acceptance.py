@@ -101,9 +101,9 @@ def test_criterion_05_stabilizer_enumerations():
     edges = edge_elements()
     assert len(triples) == 12 and len(set(triples)) == 12
     assert len(edges) == 4 and len(set(edges)) == 4
-    base_t = tree.base_triple_vertex()
-    base_p = tree.base_pair_vertex()
-    base_e = tree.base_edge()
+    base_t = (tree.TRIPLE, ())
+    base_p = (tree.PAIR, ())
+    base_e = ()
     for e in triples:
         word = parse("d" * e.d + "g" * e.g + "a" * e.a)
         assert tree.act(word, base_t) == base_t, e

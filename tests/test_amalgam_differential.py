@@ -26,16 +26,16 @@ def test_rewriting_matches_reference(u, v):
 
 
 def _ref_act(word, vertex):
-    moved = ref.mul_nf(ref.normal_form(word), amalgam.NormalForm(vertex.rep)).syllables
-    own = "P" if vertex.kind == tree.PAIR else "Q"
+    kind, rep = vertex
+    moved = ref.mul_nf(ref.normal_form(word), amalgam.NormalForm(rep)).syllables
+    own = "P" if kind == tree.PAIR else "Q"
     if moved and moved[-1][0] == own:
         moved = moved[:-1]
-    return tree.CosetVertex(vertex.kind, moved)
+    return kind, moved
 
 
-def _ref_act_edge(word, edge):
-    moved = ref.mul_nf(ref.normal_form(word), amalgam.NormalForm(edge.rep))
-    return tree.TreeEdge(moved.syllables)
+def _ref_act_edge(word, rep):
+    return ref.mul_nf(ref.normal_form(word), amalgam.NormalForm(rep)).syllables
 
 
 @pytest.fixture(scope="module")

@@ -237,6 +237,14 @@ def test_malformed_complex_file_is_a_usage_error(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_deeply_nested_complex_file_is_a_usage_error(capsys, tmp_path):
+    source = tmp_path / "complex.json"
+    for text in ("[" * 100_000, '{"max_simplices": ' + "[" * 100_000):
+        source.write_text(text)
+        code, out, err = run(capsys, "simplicial", "flag", str(source))
+        assert (code, out, err) == (2, "", "error: JSON nested too deeply\n"), text[:20]
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -10,9 +10,7 @@ from goeritz.amalgam import parse, random_word
 from goeritz.tree import (
     PAIR,
     TRIPLE,
-    CosetVertex,
     TreeBall,
-    TreeEdge,
     _end,
     _incident,
     act,
@@ -27,12 +25,14 @@ from goeritz.tree import (
     rep_word,
     stabilizer_of,
     to_dot,
+    vertex_label,
 )
 
 
 def test_base_objects():
-    assert base_pair_vertex().kind == PAIR
-    assert base_triple_vertex().kind == TRIPLE
+    assert base_pair_vertex() == (PAIR, ())
+    assert base_triple_vertex() == (TRIPLE, ())
+    assert base_edge() == ()
     pair_end, triple_end = edge_endpoints(base_edge())
     assert pair_end == base_pair_vertex()
     assert triple_end == base_triple_vertex()
@@ -42,7 +42,7 @@ def test_small_ball_counts():
     b = ball(1, 2)
     assert len(b.vertices) == 8
     assert len(b.edges) == 7
-    kinds = [v.kind for v in b.vertices]
+    kinds = [kind for kind, _ in b.vertices]
     # base edge, 2 new triple vertices off the pair side (powers +-1, +-2
     # give 4), 2 new pair vertices off the triple side
     assert kinds.count(PAIR) == 3
@@ -83,23 +83,26 @@ def test_huge_max_power_overruns_the_vertex_cap_quickly():
 def test_ball_matches_the_reference_in_order():
     sizes = [(r, p) for r in range(6) for p in range(1, 4)] + [(6, 3)]
     for radius, max_power in sizes:
-        assert ball(radius, max_power) == ref.ball(radius, max_power)
+        got, want = ball(radius, max_power), ref.ball(radius, max_power)
+        assert (got.radius, got.max_power) == (want.radius, want.max_power)
+        assert got.vertices == [(v.kind, v.rep) for v in want.vertices]
+        assert got.edges == [e.rep for e in want.edges]
 
 
 def test_incident_far_endpoints_agree_with_edge_endpoints():
     vertices = ball(4, 3).vertices
     for max_power in range(1, 4):
         for v in vertices:
-            other = TRIPLE if v.kind == PAIR else PAIR
-            reps = list(_incident(v.kind, v.rep, max_power))
-            assert len(set(reps)) == (2 * max_power + 1 if v.kind == PAIR else 3)
+            kind, rep = v
+            other = TRIPLE if kind == PAIR else PAIR
+            reps = list(_incident(kind, rep, max_power))
+            assert len(set(reps)) == (2 * max_power + 1 if kind == PAIR else 3)
             for e in reps:
-                far = CosetVertex(*_end(other, e))
-                assert set(edge_endpoints(TreeEdge(e))) == {v, far}
+                assert set(edge_endpoints(e)) == {v, _end(other, e)}
 
 
 def test_is_tree_rejects_an_edge_leaving_the_ball():
-    b = TreeBall(1, 1, [base_pair_vertex(), base_triple_vertex()], [TreeEdge((("P", 1),))])
+    b = TreeBall(1, 1, [base_pair_vertex(), base_triple_vertex()], [(("P", 1),)])
     assert not is_tree(b)
 
 
@@ -108,8 +111,8 @@ def test_edges_connect_pair_to_triple():
     vertices = frozenset(b.vertices)
     for edge in b.edges:
         pair_end, triple_end = edge_endpoints(edge)
-        assert pair_end.kind == PAIR
-        assert triple_end.kind == TRIPLE
+        assert pair_end[0] == PAIR
+        assert triple_end[0] == TRIPLE
         assert pair_end in vertices
         assert triple_end in vertices
 
@@ -155,16 +158,29 @@ def test_generator_stabilizers():
 def test_rep_word_recovers_vertex():
     b = ball(3, 2)
     bases = {PAIR: base_pair_vertex(), TRIPLE: base_triple_vertex()}
-    for v in b.vertices:
-        assert act(rep_word(v.rep), bases[v.kind]) == v
+    for kind, rep in b.vertices:
+        assert act(rep_word(rep), bases[kind]) == (kind, rep)
 
 
 def test_canonical_rep_rejects_own_side_trailing_syllable():
-    with pytest.raises(ValueError):
-        CosetVertex(PAIR, (("P", 1),))
-    with pytest.raises(ValueError):
-        CosetVertex(TRIPLE, (("Q", 1),))
-    CosetVertex(PAIR, (("Q", 1),))  # fine: ends on the other side
+    with pytest.raises(ValueError, match="^representative not canonical for this kind$"):
+        act("b", (PAIR, (("P", 1),)))
+    with pytest.raises(ValueError, match="^representative not canonical for this kind$"):
+        act("b", (TRIPLE, (("Q", 1),)))
+    assert act("", (PAIR, (("Q", 1),))) == (PAIR, (("Q", 1),))  # ends on the other side
+    with pytest.raises(ValueError, match="^unknown vertex kind 'edge'$"):
+        act("b", ("edge", ()))
+    with pytest.raises(ValueError, match="^pair syllable with zero power$"):
+        act("b", (TRIPLE, (("P", 0),)))
+    with pytest.raises(ValueError, match="^syllables do not alternate"):
+        act_edge("b", (("Q", 1), ("Q", 2)))
+
+
+def test_vertex_label():
+    assert vertex_label((PAIR, ())) == "pair[1]"
+    assert vertex_label((PAIR, (("P", 1), ("Q", 2)))) == "pair[b^1 d^2]"
+    for v in ball(2, 2).vertices:
+        assert vertex_label(v) == str(ref.CosetVertex(*v))
 
 
 def test_quotient_is_single_edge():
@@ -174,6 +190,17 @@ def test_quotient_is_single_edge():
     assert len(report.witnesses) == 20
     assert all(good for _, _, good in report.witnesses)
     assert report.ok
+
+
+def test_quotient_with_no_samples_has_no_witnesses():
+    report = quotient(ball(2, 2), witness_samples=0)
+    assert report.witnesses == []
+    assert report.ok
+
+
+def test_quotient_rejects_a_negative_sample_count():
+    with pytest.raises(ValueError, match="^witness_samples must be >= 0$"):
+        quotient(ball(2, 2), witness_samples=-3)
 
 
 def test_to_dot_mentions_every_vertex_and_edge():

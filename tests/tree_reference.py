@@ -9,21 +9,67 @@
 # vertices of every edge through edge_endpoints.  `_canonical_vertex`,
 # `edge_endpoints` and `_rep_label` are copied with them, so nothing here
 # runs the package's endpoint code.
+# `CosetVertex`, `TreeEdge`, `_end` and the three base constructors are
+# verbatim copies of the checked vertex and edge classes that goeritz.tree
+# had before its vertices and edges became plain (kind, rep) and rep keys.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
-from goeritz.tree import (
-    PAIR,
-    TRIPLE,
-    CosetVertex,
-    TreeBall,
-    TreeEdge,
-    base_edge,
-    base_pair_vertex,
-    base_triple_vertex,
-)
+from goeritz.amalgam import check_syllables
+from goeritz.tree import PAIR, TRIPLE, TreeBall
+
+
+@dataclass(frozen=True, slots=True)
+class CosetVertex:
+    """A coset of the pair or triple stabilizer, canonically named."""
+
+    kind: str
+    rep: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.kind not in (PAIR, TRIPLE):
+            raise ValueError(f"unknown vertex kind {self.kind!r}")
+        check_syllables(self.rep)
+        if _end(self.kind, self.rep)[1] != self.rep:
+            raise ValueError("representative not canonical for this kind")
+
+    def __str__(self) -> str:
+        return f"{self.kind}[{_rep_label(self.rep)}]"
+
+
+@dataclass(frozen=True, slots=True)
+class TreeEdge:
+    """A coset of the edge stabilizer."""
+
+    rep: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        check_syllables(self.rep)
+
+    def __str__(self) -> str:
+        return f"edge[{_rep_label(self.rep)}]"
+
+
+def base_pair_vertex() -> CosetVertex:
+    return CosetVertex(PAIR, ())
+
+
+def base_triple_vertex() -> CosetVertex:
+    return CosetVertex(TRIPLE, ())
+
+
+def base_edge() -> TreeEdge:
+    return TreeEdge(())
+
+
+def _end(kind: str, rep: tuple[tuple[str, int], ...]) -> tuple[str, tuple[tuple[str, int], ...]]:
+    """The (kind, rep) key of the vertex of this kind at the end of edge rep."""
+    if rep and rep[-1][0] == ("P" if kind == PAIR else "Q"):
+        rep = rep[:-1]
+    return kind, rep
 
 
 def _rep_label(rep: tuple[tuple[str, int], ...]) -> str:
