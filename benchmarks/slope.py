@@ -1,7 +1,7 @@
-"""Size ladders for the slope fixture: `contract.contract_loop`,
-`farey.build`, `farey.verify_axioms`, and the simplicial layer's
-`barycentric` and `remove_open_stars` on `farey.build(n)`, time against
-size.
+"""Size ladders for the slope fixture: `contract.contract_loop`, the JSON
+round trip of its certificates, `farey.build`, `farey.verify_axioms`,
+and the simplicial layer's `barycentric` and `remove_open_stars` on
+`farey.build(n)`, time against size.
 
     python benchmarks/slope.py [--out BENCH_slope.json] [--parent PARENT.json]
 
@@ -12,7 +12,11 @@ build(n), verify_axioms(n, 200, seed), build(n).barycentric() and
 remove_open_stars on that subdivision run at n = 16, 32, 64, 128 (the
 complex they start from is built outside the timing).  Each rung is
 timed as the minimum of three repeats; the untimed probe counts the
-oracle calls or the simplices.
+oracle calls, the simplices or the certificate's moves and bytes.
+certificate_json times the certificate round trip on the contract_loop
+certificates of the same loops: `to_json`, then `json.loads`, then
+`HomotopyCertificate.from_json_dict(..., farey.parse_slope)` (the
+certificate is made outside the timing).
 The rows for layer "slope" time the package in src/; the rows for layer
 "slope_reference" time the former pair-scanning and recompute-every-move
 code kept in tests/slope_reference.py, on the rungs up to REFERENCE_MAX.
@@ -29,6 +33,7 @@ record format and `--parent` are those of benchmarks/ladder.py.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import Counter
@@ -135,8 +140,26 @@ def _simplicial_rows(layer: str, module):
     return rows
 
 
+def _certificate(positions: int) -> contract.HomotopyCertificate:
+    return contract.contract_loop(farey.adjacent, farey.remoteness, farey.blocking,
+                                  _loop(positions), farey.BASE)
+
+
+def _round_trip(cert: contract.HomotopyCertificate) -> contract.HomotopyCertificate:
+    return contract.HomotopyCertificate.from_json_dict(json.loads(cert.to_json()),
+                                                       farey.parse_slope)
+
+
+def _certificate_counters(cert: contract.HomotopyCertificate) -> dict:
+    assert _round_trip(cert) == cert
+    return {"moves": len(cert.moves), "final": len(cert.final),
+            "json_bytes": len(cert.to_json())}
+
+
 def _rows():
     yield from _slope_rows("slope", contract.contract_loop, farey.build, farey.verify_axioms, {})
+    yield ("slope", "certificate_json", _rungs(LOOP_LADDER, _certificate), _round_trip,
+           _certificate_counters)
     yield from _simplicial_rows("slope", simplicial)
     yield from _slope_rows("slope_reference", slope_reference.contract_loop,
                            slope_reference.build, slope_reference.verify_axioms, REFERENCE_MAX)

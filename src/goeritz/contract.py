@@ -40,12 +40,18 @@ against the contract above; a bad answer raises
 OracleContractViolation rather than producing a bogus certificate.
 The blocking clauses are stated once, in check_blocking_answer, which
 the engine and the slope fixture's verify_axioms both call.
+
+A certificate's to_json writes the text of json.dumps(..., indent=2)
+itself, each string through json's C string encoder, since indent would
+put json on its pure-Python encoder; from_json_dict calls decode once
+per distinct string.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Hashable, Iterable, Sequence
 
 __all__ = [
@@ -119,26 +125,69 @@ class HomotopyCertificate:
         return {"moves": moves, "final": [str(v) for v in self.final]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The text of json.dumps(self.to_json_dict(), indent=2), laid out
+        here: strings go through json's C string encoder, an int position
+        through int.__repr__, any other position through json.dumps."""
+        quote = encode_basestring_ascii
+        moves = []
+        for m in self.moves:
+            pos = m.pos
+            if type(pos) is int:
+                pos = int.__repr__(pos)
+            else:  # a bool, float or string read back from JSON, say
+                pos = json.dumps(pos, indent=2).replace("\n", "\n      ")
+            if isinstance(m, Relabel):
+                moves.append(
+                    f'{{\n      "type": "relabel",\n      "pos": {pos},\n      "old": '
+                    f'{quote(str(m.old))},\n      "new": {quote(str(m.new))}\n    }}'
+                )
+            else:
+                moves.append(
+                    f'{{\n      "type": "subdivide",\n      "pos": {pos},\n      "insert": '
+                    f'{quote(str(m.insert))}\n    }}'
+                )
+        final = [quote(str(v)) for v in self.final]
+        return f'{{\n  "moves": {_json_array(moves)},\n  "final": {_json_array(final)}\n}}'
 
     @classmethod
     def from_json_dict(
         cls, data: dict, decode: Callable[[str], Vertex] = lambda s: s
     ) -> "HomotopyCertificate":
+        """Read back a to_json_dict() payload; ValueError when it is malformed.
+
+        decode turns a vertex string into a vertex.  It must be pure, as
+        the oracles must: it is called once per distinct string, and any
+        other value goes to it as it is, so it reports its own error.
+        """
+        seen: dict = {}
+
+        def vertex(s):
+            if type(s) is not str:  # 1, 1.0 and true hash alike; a list does not hash
+                return decode(s)
+            if s not in seen:
+                seen[s] = decode(s)
+            return seen[s]
+
         moves: list = []
         try:
             for m in data["moves"]:
                 if m["type"] == "relabel":
-                    moves.append(Relabel(m["pos"], decode(m["old"]), decode(m["new"])))
+                    moves.append(Relabel(m["pos"], vertex(m["old"]), vertex(m["new"])))
                 elif m["type"] == "subdivide":
-                    moves.append(Subdivide(m["pos"], decode(m["insert"])))
+                    moves.append(Subdivide(m["pos"], vertex(m["insert"])))
                 else:
                     raise ValueError(f"unknown move type {m['type']!r}")
-            return cls(moves, [decode(v) for v in data["final"]])
+            return cls(moves, [vertex(v) for v in data["final"]])
         except KeyError as exc:
             raise ValueError(f"certificate is missing the field {exc}") from None
         except TypeError as exc:
             raise ValueError(f"malformed certificate: {exc}") from None
+
+
+def _json_array(items: list[str]) -> str:
+    """Encoded items laid out as json.dumps(..., indent=2) lays out an
+    array that is a value of the top-level object."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def max_remoteness(remoteness: Remoteness, loop: Iterable[Vertex]) -> int:
@@ -324,7 +373,7 @@ def validate(
         m = len(cur)
         if not isinstance(move, (Relabel, Subdivide)):
             return ValidationReport(False, idx, f"unknown move {move!r}")
-        if not isinstance(move.pos, int):
+        if type(move.pos) is not int:  # a bool is an int, and True == 1
             return ValidationReport(False, idx, f"move position {move.pos!r} is not an integer")
         if isinstance(move, Relabel):
             if not 0 <= move.pos < m:

@@ -111,7 +111,9 @@ def slope(p: int, q: int) -> Slope:
 
 
 def parse_slope(text: str) -> Slope:
-    """Parse 'inf', 'p/q' or a bare integer."""
+    """Parse 'inf', 'p/q' or a bare integer; ValueError for anything else."""
+    if not isinstance(text, str):
+        raise ValueError(f"slope must be a string, not {type(text).__name__}")
     text = text.strip()
     if text == "inf":
         return INFINITY

@@ -227,6 +227,34 @@ def test_dot_files_match_the_frozen_digests(capsys, tmp_path):
         assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest, (radius, max_power)
 
 
+# sha256 of the certificate file that `contract -o PATH` writes, frozen
+# while to_json was still json.dumps(..., indent=2); keys are
+# (seed, --max-denominator or None for the default)
+CERTIFICATE_DIGESTS = {
+    (0, None): "c275f5670f2299d78061fa263dcba6404d3c505584384733bff9a7efefbdb5b6",
+    (1, None): "53cac848d99ae8bb18ec68d9c1dbac0da4e2ed29925ce2fea7948472f09ea552",
+    (2, None): "f31305d6745735b6d7ae0d5367a1bca0f1a7c8184842bb3d6b621f133113919c",
+    (3, None): "ec1752051c519f92f659b16a5f8b556815b1cf0da276d4c2dd785b8462b706b1",
+    (4, None): "69aa6c5cbd36ce91aa8779237fba8c98e174251862e238e317ac9e0d8c758765",
+    (5, None): "bfb1c4df3403d91f637dbb5044110ca6f2070bff69c68b19ee6d8da9e9c5bceb",
+    (6, None): "0432e31df4cf3eca56b13f28d9ffa0bd59c69a13fbe23fbb3cf051e71f8b914f",
+    (7, None): "794fbb98e9f029b20a0c0a7aa3d17dae17f4ca547733e72f078d2fdc5d361ec5",
+    (8, None): "4b1a9818eb6fa04e0f824bc96852bb61877be0490d5f4a29ff47fc92232acb78",
+    (9, None): "50cbc7f52addb4a01999c0d2e83aac98d59e775472b72cb02363f467fe5ce477",
+    (0, 20): "7177c90a63f2d78b7e79caee97d85f6951c178fc2acf3defa5fc7e00e51b339a",
+}
+
+
+def test_certificate_files_match_the_frozen_digests(capsys, tmp_path):
+    for (seed, max_denominator), digest in CERTIFICATE_DIGESTS.items():
+        path = tmp_path / f"cert_{seed}_{max_denominator}.json"
+        argv = ["contract", "--seed", str(seed), "-o", str(path)]
+        if max_denominator is not None:
+            argv += ["--max-denominator", str(max_denominator)]
+        assert run(capsys, *argv)[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (seed, max_denominator)
+
+
 def test_malformed_complex_file_is_a_usage_error(capsys, tmp_path):
     source = tmp_path / "complex.json"
     for text in ('{"max_simplices": [[[1,2],3]]}', '{"max_simplices": 5}', "5"):

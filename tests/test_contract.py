@@ -340,6 +340,21 @@ def test_validate_reports_non_integer_positions():
         assert "not an integer" in report.reason
 
 
+def test_validate_rejects_a_boolean_position_read_from_json():
+    # true == 1, and the same move at position 1 is valid, so a replay
+    # that let the bool through would accept this certificate
+    loop = [farey.BASE, farey.Slope(0, 1), farey.Slope(1, 1)]
+    text = '{"moves": [{"type": "subdivide", "pos": %s, "insert": "-1"}], "final": ["inf", "-1", "0", "1"]}'
+    as_int = HomotopyCertificate.from_json_dict(json.loads(text % "1"), decode=farey.parse_slope)
+    assert validate(farey.adjacent, as_int, loop, farey.BASE).ok
+    cert = HomotopyCertificate.from_json_dict(json.loads(text % "true"), decode=farey.parse_slope)
+    assert cert.moves[0].pos is True
+    report = validate(farey.adjacent, cert, loop, farey.BASE)
+    assert (report.ok, report.failed_move) == (False, 0)
+    assert report.reason == "move position True is not an integer"
+    assert '"pos": true,' in cert.to_json()
+
+
 def test_validate_reports_images_the_oracle_rejects():
     # farey.adjacent raises AttributeError on a non-slope; validate must not
     loop = slope_loop(3)
@@ -367,6 +382,9 @@ def test_validate_reports_input_images_the_oracle_rejects():
         {"moves": [{"type": "subdivide", "insert": "inf"}], "final": []},
         {"moves": [{"type": "relabel", "old": "inf", "new": "inf"}], "final": []},
         {"moves": [7], "final": []},
+        {"moves": [], "final": [5]},
+        {"moves": [], "final": [["inf"]]},
+        {"moves": [{"type": "subdivide", "pos": 1, "insert": None}], "final": []},
     ],
 )
 def test_certificate_json_with_missing_fields_raises_value_error(data):
