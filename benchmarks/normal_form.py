@@ -1,11 +1,14 @@
-"""Size ladders for the word problem: `amalgam.normal_form` time against length.
+"""Size ladders for the word problem: syllable rewriting time against length.
 
     python benchmarks/normal_form.py [--out BENCH_normal_form.json] [--parent PARENT.json]
 
 Two word families, seeded random words over b B g d D and the
 alternating word (bdg)^k cut to length, each at 1k, 2k, ..., 64k
 letters, timed as the minimum of five repeats.  The rows for layer
-"amalgam" time the package in src/; the rows for layer
+"amalgam" time the package in src/: `normal_form` of the word,
+`inv_nf` of its normal form, and `mul_nf` of its normal form times that
+inverse, which cancels every syllable; the normal forms of the last two
+are made before the timing.  The rows for layer
 "amalgam_reference" time the former quadratic rewriter kept in
 tests/amalgam_reference.py, on the rungs up to 4k only.  Timer, record
 format and `--parent` are those of benchmarks/ladder.py.
@@ -36,11 +39,23 @@ def _rungs(family: str, top: float):
     return ((n, _word(family, n)) for n in LADDER if n <= top)
 
 
+def _nf_rungs(family: str):
+    return ((n, amalgam.normal_form(word)) for n, word in _rungs(family, math.inf))
+
+
+def _product_rungs(family: str):
+    return ((n, (nf, amalgam.inv_nf(nf))) for n, nf in _nf_rungs(family))
+
+
 def _rows():
     for layer, func, top in (("amalgam", amalgam.normal_form, math.inf),
                              ("amalgam_reference", amalgam_reference.normal_form, REFERENCE_MAX)):
         for family in ("random", "alternating"):
             yield layer, f"normal_form/{family}", _rungs(family, top), func, None
+    for family in ("random", "alternating"):
+        yield "amalgam", f"inv_nf/{family}", _nf_rungs(family), amalgam.inv_nf, None
+        yield ("amalgam", f"mul_nf/{family}", _product_rungs(family),
+               lambda pair: amalgam.mul_nf(*pair), None)
 
 
 if __name__ == "__main__":

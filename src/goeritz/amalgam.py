@@ -37,6 +37,10 @@ Input words use one character per generator: b/B for the pair-side
 generator and its inverse, g for the common involution, d/D for the
 order-3 generator and its inverse.  The macros a (central involution of
 the triple side) and t (its pair-side alias) both expand to "bgBg".
+parse checks a word with one str.translate that deletes the legal
+letters and expands the macros with str.replace, and invert_word
+reverses and swaps letters with one more str.translate, so no Python
+loop runs per character.
 """
 
 from __future__ import annotations
@@ -67,8 +71,8 @@ __all__ = [
 ]
 
 GENERATOR_ALPHABET = "bBgdD"
-_MACROS = {"a": "bgBg", "t": "bgBg"}
-_INVERSE_CHAR = {"b": "B", "B": "b", "g": "g", "d": "D", "D": "d"}
+_DROP_LETTERS = str.maketrans("", "", GENERATOR_ALPHABET + "at")
+_INVERT_LETTERS = str.maketrans("bBdD", "BbDd")
 
 
 def parse(text: str) -> str:
@@ -78,23 +82,27 @@ def parse(text: str) -> str:
     'bgBg'
     >>> parse("bD")
     'bD'
+    >>> parse("bxq")
+    Traceback (most recent call last):
+    ...
+    ValueError: invalid character 'x'; expected one of 'bBgdDat'
     """
-    out = []
-    for ch in text:
-        if ch in _MACROS:
-            out.append(_MACROS[ch])
-        elif ch in GENERATOR_ALPHABET:
-            out.append(ch)
-        else:
-            raise ValueError(
-                f"invalid character {ch!r}; expected one of 'bBgdDat'"
-            )
-    return "".join(out)
+    if not isinstance(text, str):
+        raise TypeError(f"word must be a string, not {type(text).__name__}")
+    # what the letters leave behind starts with the first invalid character
+    leftover = text.translate(_DROP_LETTERS)
+    if leftover:
+        raise ValueError(f"invalid character {leftover[0]!r}; expected one of 'bBgdDat'")
+    return text.replace("a", "bgBg").replace("t", "bgBg")
 
 
 def invert_word(word: str) -> str:
-    """Formal inverse of a generator word."""
-    return "".join(_INVERSE_CHAR[ch] for ch in reversed(parse(word)))
+    """Formal inverse of a generator word.
+
+    >>> invert_word("bgdt")
+    'gbgBDgB'
+    """
+    return parse(word)[::-1].translate(_INVERT_LETTERS)
 
 
 def random_word(rng: random.Random, length: int) -> str:
@@ -169,7 +177,10 @@ def _multiply(
     syllables: list[tuple[str, int]], g: int, a: int, factors: Iterable[tuple]
 ) -> NormalForm:
     # right-multiply the element syllables . g^g a^a by each factor in
-    # turn; the list of syllables is consumed
+    # turn; the list of syllables is consumed.  Its last syllable is held
+    # in (side_k, k), side_k "" when there is none, and joins the list
+    # only when a syllable of the other side comes after it.
+    side_k, k = syllables.pop() if syllables else ("", 0)
     for side, power, a_bit, g_bit in factors:
         # the factor joins the tail inside its own stabilizer
         if side == "P":
@@ -177,17 +188,25 @@ def _multiply(
             a ^= a_bit ^ (power & g)
         else:
             a ^= a_bit
-            if g:
-                power = -power  # g^c a^e . d^m = d^-m g^c a^e
+            # g^c a^e . d^m = d^-m g^c a^e, and d^3 = 1
+            power = (-power if g else power) % 3
         g ^= g_bit
-        if power:
-            # the transversal part merges with a last syllable of its side
-            if syllables and syllables[-1][0] == side:
-                power += syllables.pop()[1]
-            if side == "Q":
-                power %= 3
-            if power:
-                syllables.append((side, power))
+        if not power:
+            continue
+        if side != side_k:
+            if side_k:
+                syllables.append((side_k, k))
+            side_k, k = side, power
+            continue
+        # the transversal part merges with the held syllable
+        k += power
+        if side == "Q":
+            k %= 3
+        if not k:
+            # it cancels, and the syllable before it is held instead
+            side_k, k = syllables.pop() if syllables else ("", 0)
+    if side_k:
+        syllables.append((side_k, k))
     return NormalForm(tuple(syllables), EdgeStabilizer(g, a))
 
 

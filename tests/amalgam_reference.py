@@ -3,7 +3,10 @@
 # oracle for tests/test_amalgam_differential.py and the "before" rows of
 # benchmarks/normal_form.py.  It is quadratic: _push rebuilds the whole
 # syllable tuple each time a g crosses it.
-# Its only edit since: Syllable objects became (side, power) tuples.
+# Its edits since: Syllable objects became (side, power) tuples, and it
+# carries its own verbatim copy of the per-character parse that
+# goeritz.amalgam used before parse ran as str.translate and str.replace,
+# so that it shares no input handling with the code it checks.
 """Right-to-left normal-form rewriting for the genus-2 Goeritz group.
 
 The normal form of a suffix is maintained and each new letter is
@@ -13,8 +16,32 @@ into the tail.
 
 from __future__ import annotations
 
-from goeritz.amalgam import IDENTITY_NF, NormalForm, parse
+from goeritz.amalgam import IDENTITY_NF, NormalForm
 from goeritz.stabilizers import EdgeStabilizer, PairStabilizer, TripleStabilizer
+
+GENERATOR_ALPHABET = "bBgdD"
+_MACROS = {"a": "bgBg", "t": "bgBg"}
+
+
+def parse(text: str) -> str:
+    """Expand macros and validate a generator word.
+
+    >>> parse("a")
+    'bgBg'
+    >>> parse("bD")
+    'bD'
+    """
+    out = []
+    for ch in text:
+        if ch in _MACROS:
+            out.append(_MACROS[ch])
+        elif ch in GENERATOR_ALPHABET:
+            out.append(ch)
+        else:
+            raise ValueError(
+                f"invalid character {ch!r}; expected one of 'bBgdDat'"
+            )
+    return "".join(out)
 
 
 def _push(

@@ -2,8 +2,10 @@
 against the former right-to-left rewriter kept in tests/amalgam_reference.py.
 
 The two share only the NormalForm class (whose syllables are plain
-(side, power) tuples) and parse, not the rewriting.  Normal forms are unique, so any disagreement on a
-syllable or on the tail is a defect in one of them.
+(side, power) tuples), not the parsing or the rewriting: the reference
+keeps its own copy of the former per-character parse.  Normal forms are
+unique, so any disagreement on a syllable or on the tail is a defect in
+one of them.
 """
 
 import pytest

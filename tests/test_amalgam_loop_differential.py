@@ -1,0 +1,187 @@
+"""Differential test: goeritz.amalgam against its former left-to-right loop.
+
+tests/amalgam_loop_reference.py keeps the rewriting loop that appended
+and popped a tuple per letter and the per-character invert_word, and
+tests/amalgam_reference.py the per-character parse.  The package now
+parses with str.translate and str.replace and holds the last syllable in
+locals.  The references share only NormalForm and EdgeStabilizer with
+it.  Both loops are linear, so the words here reach the sizes of the
+long_words benchmark, which the quadratic rewriter of
+tests/test_amalgam_differential.py cannot.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import amalgam_loop_reference as loop_ref
+import amalgam_reference as ref
+from goeritz import amalgam
+
+
+def _alternating(rng, letters):
+    # k blocks of b or B, then d or D, then g
+    return "".join(rng.choice("bB") + rng.choice("dD") + "g" for _ in range(letters // 3))
+
+
+def _assert_rewriting_matches(u, v):
+    nu, nv = amalgam.normal_form(u), amalgam.normal_form(v)
+    assert nu == loop_ref.normal_form(u)
+    assert nv == loop_ref.normal_form(v)
+    assert amalgam.mul_nf(nu, nv) == loop_ref.mul_nf(nu, nv)
+    assert amalgam.mul_nf(nv, nu) == loop_ref.mul_nf(nv, nu)
+    assert amalgam.inv_nf(nu) == loop_ref.inv_nf(nu)
+    # the product with the inverse cancels every syllable back to the start
+    assert amalgam.mul_nf(nu, amalgam.inv_nf(nu)).is_identity()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_benchmark_size_words_match_former_loop(seed):
+    rng = random.Random(seed)
+    for random_letters, alternating_letters in ((500, 250), (1000, 500), (2000, 1000), (4000, 2000)):
+        _assert_rewriting_matches(amalgam.random_word(rng, random_letters),
+                                  _alternating(rng, alternating_letters))
+
+
+def _cancelling_words(rng):
+    k = rng.randint(1, 400)
+    yield "b" * k + "B" * k
+    yield "B" * k + "d" + "D" + "b" * k
+    yield "bdDB" * k
+    yield "d" * (3 * k)
+    yield "D" * (3 * k) + "b"
+    yield "g" * (2 * k)
+    yield "gdgd" * k
+    yield "bgBg" * 2 * k
+    u = amalgam.random_word(rng, rng.randint(1, 600))
+    prefix = amalgam.random_word(rng, rng.randint(0, 300))
+    suffix = amalgam.random_word(rng, rng.randint(0, 300))
+    yield prefix + u + amalgam.invert_word(u) + suffix
+    yield prefix + u + loop_ref.invert_word(u) + u + suffix
+    # a syllable merges to zero and the one before it comes back,
+    # several levels deep
+    nested = amalgam.random_word(rng, 50)
+    for _ in range(rng.randint(1, 6)):
+        w = amalgam.random_word(rng, rng.randint(1, 40))
+        nested = w + nested + amalgam.invert_word(w)
+    yield prefix + nested + suffix
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cancelling_words_match_former_loop(seed):
+    rng = random.Random(seed)
+    words = list(_cancelling_words(rng))
+    for u in words:
+        _assert_rewriting_matches(u, rng.choice(words))
+
+
+def test_cancelling_words_reduce_as_expected():
+    assert amalgam.normal_form("b" * 300 + "B" * 300).is_identity()
+    assert amalgam.normal_form("bdDB" * 50).is_identity()
+    assert amalgam.normal_form("d" * 300).is_identity()
+    assert amalgam.normal_form("bdb" + "dD" + "B").syllables == (("P", 1), ("Q", 1))
+    assert amalgam.normal_form("bddd" + "b").syllables == (("P", 2),)
+    # the held syllable vanishes and the one before it takes its place
+    nf = amalgam.mul_nf(amalgam.normal_form("bdb"), amalgam.normal_form("BDdd"))
+    assert nf.syllables == (("P", 1), ("Q", 2))
+
+
+def test_non_reduced_factors_match_former_loop():
+    # a triple-side factor of power 0 mod 3 adds nothing, held syllable or not
+    for syllables in ([], [("P", 2)], [("Q", 1)], [("P", 1), ("Q", 2)]):
+        for g in (0, 1):
+            factors = [("Q", 3, 0, 0), ("P", 2, 0, 0), ("Q", -3, 0, 0), ("Q", 6, 1, 1),
+                       ("P", -2, 0, 0), ("Q", 4, 0, 0), ("Q", 5, 0, 0)]
+            assert (amalgam._multiply(list(syllables), g, 1, factors)
+                    == loop_ref._multiply(list(syllables), g, 1, factors))
+
+
+# hypothesis keeps most texts short, so long words are also built from
+# repeated pieces, which brings in runs that cancel
+pieces = st.lists(st.tuples(st.text(alphabet="bBgdDat", max_size=40), st.integers(1, 60)),
+                  max_size=20)
+long_words = st.one_of(
+    st.text(alphabet="bBgdDat", max_size=2000),
+    pieces.map(lambda parts: "".join(piece * times for piece, times in parts)[:2000]),
+)
+
+
+@given(long_words, long_words)
+@settings(max_examples=200, deadline=None)
+def test_hypothesis_words_match_former_loop(u, v):
+    _assert_rewriting_matches(u, v)
+
+
+# any code point; lone surrogates are rare among all characters, so they
+# are drawn on their own as well
+any_text = st.text(st.one_of(
+    st.sampled_from("bBgdDat"),
+    st.characters(exclude_categories=()),
+    st.characters(categories=["Cs"]),
+))
+
+
+def _outcome(func, text):
+    try:
+        return "ok", func(text)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@given(any_text)
+@settings(max_examples=1000)
+@example("")
+@example("bq")
+@example("b\x00d")
+@example("d\ud800b")
+@example("dD\udfff")
+@example("ab\U0001f600t")
+@example("\U00010000")
+@example("tBa ")
+@example("é")
+def test_parse_matches_former_parse(text):
+    outcome = _outcome(amalgam.parse, text)
+    assert outcome == _outcome(ref.parse, text)
+    assert type(outcome[1]) is str
+
+
+@given(any_text)
+@settings(max_examples=1000)
+@example("bgdt")
+@example("b\ud800")
+@example("\x00")
+@example("aB\U0001f600")
+def test_invert_word_matches_former_invert_word(text):
+    assert _outcome(amalgam.invert_word, text) == _outcome(loop_ref.invert_word, text)
+
+
+def test_parse_names_the_first_invalid_character():
+    with pytest.raises(ValueError, match=r"^invalid character 'x'; expected one of 'bBgdDat'$"):
+        amalgam.parse("bdxyq")
+    with pytest.raises(ValueError, match=r"invalid character '\\ud800'"):
+        amalgam.parse("a\ud800\x00")
+    with pytest.raises(ValueError, match=r"invalid character '\\x00'"):
+        amalgam.parse("\x00\ud800")
+
+
+def test_parse_returns_a_plain_string_for_a_str_subclass():
+    class Word(str):
+        pass
+
+    assert type(amalgam.parse(Word("bat"))) is str
+    assert amalgam.parse(Word("bat")) == "bbgBgbgBg"
+    assert type(amalgam.invert_word(Word("bd"))) is str
+
+
+# the former per-character parse raised TypeError for None, 5 and bytes
+# too, but joined a list, tuple or iterator of letters
+@pytest.mark.parametrize("value", [None, 5, ["b", "d"], ("b",), b"bd", iter("bd")])
+def test_parse_rejects_a_non_string(value):
+    with pytest.raises(TypeError, match=r"^word must be a string, not "):
+        amalgam.parse(value)
+    with pytest.raises(TypeError):
+        amalgam.normal_form(value)
+    with pytest.raises(TypeError):
+        amalgam.invert_word(value)
