@@ -8,9 +8,10 @@ and the simplicial layer's `barycentric` and `remove_open_stars` on
 contract_loop runs on based loops of 100, 200, ..., 12,800 positions,
 each the concatenation of seeded 50-position `farey.random_based_loop`
 segments (the shape the benchmark's slope_fixture workload uses);
-build(n), verify_axioms(n, 200, seed), build(n).barycentric() and
-remove_open_stars on that subdivision run at n = 16, 32, 64, 128 (the
-complex they start from is built outside the timing).  Each rung is
+build(n) and verify_axioms(n, 200, seed) run at n = 16, 32, 64, 128;
+barycentric and remove_open_stars on the subdivision run on the
+complex with the simplices of build(n), made by each layer's public
+`Complex` outside the timing, at n = 16, ..., 256.  Each rung is
 timed as the minimum of three repeats; the untimed probe counts the
 oracle calls, the simplices or the certificate's moves and bytes.
 certificate_json times the certificate round trip on the contract_loop
@@ -45,6 +46,7 @@ from goeritz import contract, farey, simplicial
 
 LOOP_LADDER = (100, 200, 400, 800, 1600, 3200, 6400, 12800)  # positions
 FAREY_LADDER = (16, 32, 64, 128)  # max denominator
+SIMPLICIAL_LADDER = FAREY_LADDER + (256,)
 SEGMENT = 50
 AXIOM_SAMPLES = 200
 REFERENCE_MAX = {"contract_loop": 1600, "build": 64, "verify_axioms": 64}
@@ -117,7 +119,7 @@ def _simplicial_rows(layer: str, module):
     """Rows for one simplicial layer, on the simplices of farey.build(n)."""
 
     def built(n: int):
-        return module._raw(farey.build(n).simplices())
+        return module.Complex(farey.build(n).simplices())
 
     def subdivided(n: int) -> tuple:
         complex_ = built(n)
@@ -127,16 +129,14 @@ def _simplicial_rows(layer: str, module):
         return module.remove_open_stars(*inputs)
 
     rows = [
-        (layer, "barycentric", _rungs(FAREY_LADDER, built),
+        (layer, "barycentric", _rungs(SIMPLICIAL_LADDER, built),
          lambda c: c.barycentric(), lambda c: _sizes(c.barycentric())),
-        (layer, "remove_open_stars", _rungs(FAREY_LADDER, subdivided),
+        (layer, "remove_open_stars", _rungs(SIMPLICIAL_LADDER, subdivided),
          pared, lambda inputs: _sizes(pared(inputs))),
     ]
     if module is simplicial_reference:
-        def closed(n: int):
-            return module.Complex(farey.build(n).simplices())
-        rows.append((layer, "build_closed", _rungs(FAREY_LADDER), closed,
-                     lambda n: _sizes(closed(n))))
+        rows.append((layer, "build_closed", _rungs(SIMPLICIAL_LADDER), built,
+                     lambda n: _sizes(built(n))))
     return rows
 
 

@@ -60,6 +60,9 @@ def _probe(run):
     return counters
 
 
+def _rows():
+    return [("tree", op, _balls(), run, _probe(run)) for op, run in OPS.items()]
+
+
 if __name__ == "__main__":
-    ladder.main(__doc__, "BENCH_tree.json", REPEATS,
-                [("tree", op, _balls(), run, _probe(run)) for op, run in OPS.items()])
+    ladder.main(__doc__, "BENCH_tree.json", REPEATS, _rows())

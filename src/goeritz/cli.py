@@ -219,13 +219,14 @@ def _cmd_simplicial(args: argparse.Namespace) -> int:
         lines = [f"written to {args.output}"]
     else:
         lines = [text]
+    vertices, edges, triangles = out.f_vector()
     payload = {
         "claim": "subdivision (and open-star removal) of the input complex",
         "file": args.file,
         "action": args.action,
-        "vertices": len(out.vertices()),
-        "edges": len(out.simplices(1)),
-        "triangles": len(out.simplices(2)),
+        "vertices": vertices,
+        "edges": edges,
+        "triangles": triangles,
         "output": args.output,
         "complex": json.loads(text) if not args.output else None,
     }
@@ -235,7 +236,7 @@ def _cmd_simplicial(args: argparse.Namespace) -> int:
 
 def _cmd_farey(args: argparse.Namespace) -> int:
     complex_ = farey.build(args.n, tuple(args.window))
-    vertices, edges, triangles = (len(complex_.simplices(d)) for d in (0, 1, 2))
+    vertices, edges, triangles = complex_.f_vector()
     flag, connected = complex_.is_flag(), complex_.is_connected()
     lines = [
         f"build({args.n}, window={tuple(args.window)}): "

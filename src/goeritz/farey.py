@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 from typing import Iterable
 
 from .contract import check_blocking_answer
-from .simplicial import Complex, _raw
+from .simplicial import Complex, _from_ids
 
 __all__ = [
     "Slope",
@@ -233,31 +232,34 @@ def build(n: int, window: tuple[int, int] = (0, 1)) -> Complex:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    lo, hi = Fraction(window[0]), Fraction(window[1])
-    if lo > hi:
+    (lo_num, lo_den), (hi_num, hi_den) = (end.as_integer_ratio() for end in window)
+    if lo_num * hi_den > hi_num * lo_den:
         raise ValueError(f"window ({window[0]}, {window[1]}) has lower end above upper end")
     verts = [INFINITY]
     for q in range(1, n + 1):
-        p_lo = -(-lo.numerator * q // lo.denominator)  # ceil(lo*q)
-        p_hi = hi.numerator * q // hi.denominator  # floor(hi*q)
+        p_lo = -(-lo_num * q // lo_den)  # ceil(lo*q)
+        p_hi = hi_num * q // hi_den  # floor(hi*q)
         for p in range(p_lo, p_hi + 1):
             if gcd(abs(p), q) == 1:
                 verts.append(Slope(p, q))
     verts = sorted(set(verts))
-    present = set(verts)
-    simplices = [frozenset((u,)) for u in verts]
-    for w in verts[1:]:  # verts[0] is infinity, which has no parents
-        a, b = parents(w)
-        if a in present:
-            simplices.append(frozenset((a, w)))
-        if b in present:
-            simplices.append(frozenset((b, w)))
-            if a in present:
-                simplices.append(frozenset((a, b, w)))
+    index = {u: i for i, u in enumerate(verts)}
+    simplices = [(i,) for i in range(len(verts))]
+    for w in range(1, len(verts)):  # verts[0] is infinity, which has no parents
+        pa, pb = parents(verts[w])
+        a, b = index.get(pa), index.get(pb)
+        # a parent sorts before its child, so w is the highest id
+        if a is not None:
+            simplices.append((a, w))
+        if b is not None:
+            simplices.append((b, w))
+            if a is not None:
+                simplices.append((min(a, b), max(a, b), w))
     # Closed under faces as built: each edge joins a vertex to a present
     # parent, and a triangle's third edge joins the two parents, one of
     # which is a parent of the other, so it is listed with that vertex.
-    return _raw(simplices)
+    # The ids follow the sorted vertices, the order Complex gives labels.
+    return _from_ids(tuple(verts), simplices)
 
 
 @dataclass
@@ -292,9 +294,12 @@ def _check_axioms(complex_: Complex, n: int, samples: int, seed: int) -> AxiomRe
             report.violations.append(f"remoteness 0 at {u} outside the base star")
     positive = [u for u in verts if remoteness(u) > 0]
     near: dict[Slope, list[Slope]] = {u: [u] for u in verts}
-    for u, w in complex_.simplices(1):
-        near[u].append(w)
-        near[w].append(u)
+    labels = complex_._labels
+    for s in complex_._simplices:
+        if len(s) == 2:
+            u, w = labels[s[0]], labels[s[1]]
+            near[u].append(w)
+            near[w].append(u)
     stars = {u: sorted(near[u]) for u in positive}
     rng = random.Random(seed)
     for _ in range(samples):

@@ -5,21 +5,31 @@ one, two or three.  Vertex labels are opaque: anything hashable and
 mutually sortable works (strings, tuples, the Slope values of
 :mod:`goeritz.farey`).
 
+Inside, a complex holds a label table, one label per int id, and its
+simplices as a frozenset of sorted id tuples, which hash and compare in C
+and which the cyclic GC stops tracking.  A complex built from labels
+numbers them in `_label_sorted` order, so complexes built from the same
+labels have equal tables and compare as int sets.  A subcomplex (star,
+link, full subcomplex, open-star removal) keeps its parent's table, so a
+table may hold labels that are no longer vertices.  Labels appear only at
+the boundary: `simplices`, `vertices`, `maximal_simplices` and JSON map
+ids to labels, and `has`, `adjacent`, `star`, `link` and
+`full_subcomplex` map the labels they are given to ids.
+
 Two vertices are adjacent when they are equal or span an edge; the star
 of v is the full subcomplex on the vertices adjacent to v, and the link
 is the boundary part of the star away from v.  A complex is flag when
 every three pairwise-adjacent distinct vertices span a triangle.
 
-The barycentric subdivision has one vertex per simplex, labelled by the
-sorted tuple of the original labels, and one simplex per chain in the
-face order.  Each simplex is labelled once, and every chain through it
-holds that one tuple.  A face's label is read off a sub-tuple of its
-simplex's label: (v,) for a vertex, and for an edge the pair in the
-order it has there, or reversed, since a triangle whose labels only
-sort by repr ({10, 9, "a"} is ("a", 10, 9)) may order an edge against
-its own natural sort ((9, 10)).  Removing the open stars of the
-original vertices leaves the full subcomplex on the edge and triangle
-barycenters: the simplices that avoid every (v,).
+The barycentric subdivision has one vertex per simplex, labelled by
+`_label_sorted` of the simplex's labels, and one simplex per chain in the
+face order.  It numbers the barycenters of vertices first, then of
+edges, then of triangles, so every chain (vertex, edge, triangle) comes
+out as a sorted id tuple.  A label sorted by repr keeps that order:
+{10, 9, "a"} is ("a", 10, 9) while its edge {9, 10} is (9, 10).
+Removing the open stars of the original vertices leaves the full
+subcomplex on the edge and triangle barycenters: the simplices that avoid
+every (v,).
 """
 
 from __future__ import annotations
@@ -52,81 +62,121 @@ def _as_simplex(vertices: Iterable[Label]) -> frozenset:
 class Complex:
     """An abstract simplicial complex of dimension at most 2."""
 
-    __slots__ = ("_simplices",)
+    __slots__ = ("_labels", "_simplices", "_ids")
 
     def __init__(self, simplices: Iterable[Iterable[Label]] = ()):
-        closed: set[frozenset] = set()
-        for raw in simplices:
-            s = _as_simplex(raw)
-            closed.add(s)
-            for r in range(1, len(s)):
-                for face in combinations(tuple(s), r):
-                    closed.add(frozenset(face))
+        given = [_as_simplex(raw) for raw in simplices]
+        self._labels = _label_sorted(set().union(*given))
+        index = self._index()
+        closed: set[tuple] = set()
+        for s in given:
+            ids = tuple(sorted([index[v] for v in s]))
+            for r in range(1, len(ids) + 1):
+                closed.update(combinations(ids, r))
         self._simplices = frozenset(closed)
+
+    def _index(self) -> dict:
+        """Label -> id, built on the first query by label and kept."""
+        try:
+            return self._ids
+        except AttributeError:
+            self._ids = {v: i for i, v in enumerate(self._labels)}
+            return self._ids
+
+    def _id(self, v: Label) -> int:
+        i = self._index().get(v)
+        if i is None or (i,) not in self._simplices:
+            raise ValueError(f"unknown vertex {v!r}")
+        return i
 
     # -- basic queries ------------------------------------------------
 
     def simplices(self, dim: int | None = None) -> frozenset:
-        if dim is None:
-            return self._simplices
-        return frozenset(s for s in self._simplices if len(s) == dim + 1)
+        """The simplices of one dimension, or all, as frozensets of labels."""
+        labels = self._labels
+        return frozenset(
+            frozenset([labels[i] for i in s])
+            for s in self._simplices
+            if dim is None or len(s) == dim + 1
+        )
 
     def vertices(self) -> frozenset:
-        return frozenset(v for s in self._simplices if len(s) == 1 for v in s)
+        labels = self._labels
+        return frozenset(labels[s[0]] for s in self._simplices if len(s) == 1)
+
+    def f_vector(self) -> tuple[int, int, int]:
+        """The numbers of vertices, edges and triangles."""
+        counts = [0, 0, 0]
+        for s in self._simplices:
+            counts[len(s) - 1] += 1
+        return counts[0], counts[1], counts[2]
 
     def has(self, simplex: Iterable[Label]) -> bool:
-        return frozenset(simplex) in self._simplices
+        index = self._index()
+        try:
+            ids = {index[v] for v in simplex}
+        except KeyError:
+            return False
+        return tuple(sorted(ids)) in self._simplices
 
     def dim(self) -> int:
         """Dimension; -1 for the empty complex."""
-        return max((len(s) for s in self._simplices), default=0) - 1
+        return max(map(len, self._simplices), default=0) - 1
 
     def maximal_simplices(self) -> list[tuple]:
         # the family is downward closed, so a simplex that is a proper
         # face of another is a facet (one vertex fewer) of some simplex
-        faces = {s - {v} for s in self._simplices if len(s) > 1 for v in s}
-        tuples = [_label_sorted(s) for s in self._simplices if s not in faces]
+        faces = {s[:k] + s[k + 1:] for s in self._simplices if len(s) > 1 for k in range(len(s))}
+        labels = self._labels
+        tuples = [
+            _label_sorted([labels[i] for i in s]) for s in self._simplices if s not in faces
+        ]
         return list(_label_sorted(tuples))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Complex) and self._simplices == other._simplices
+        if not isinstance(other, Complex):
+            return False
+        if self._labels == other._labels:
+            return self._simplices == other._simplices
+        return self.simplices() == other.simplices()
 
     def __hash__(self) -> int:
-        return hash(self._simplices)
+        # equal complexes have equal vertex labels, whatever their tables
+        return hash(self.vertices())
 
     def __repr__(self) -> str:
-        return f"Complex(V={len(self.simplices(0))}, E={len(self.simplices(1))}, F={len(self.simplices(2))})"
+        v, e, f = self.f_vector()
+        return f"Complex(V={v}, E={e}, F={f})"
 
     # -- adjacency, star, link ----------------------------------------
 
-    def _require_vertex(self, v: Label) -> None:
-        if frozenset([v]) not in self._simplices:
-            raise ValueError(f"unknown vertex {v!r}")
-
     def adjacent(self, w: Label, v: Label) -> bool:
         """True when w and v are equal or span an edge."""
-        self._require_vertex(w)
-        self._require_vertex(v)
-        return w == v or frozenset([w, v]) in self._simplices
+        i, j = sorted((self._id(w), self._id(v)))
+        return i == j or (i, j) in self._simplices
 
     def full_subcomplex(self, keep: Iterable[Label]) -> "Complex":
         """All simplices whose vertices all lie in `keep`."""
-        keep = set(keep)
-        return _raw(s for s in self._simplices if s <= keep)
+        index = self._index()
+        ids = {index[v] for v in keep if v in index}
+        return _from_ids(self._labels, filter(ids.issuperset, self._simplices))
 
     def star(self, v: Label) -> "Complex":
         """The full subcomplex on all vertices adjacent to v (v included)."""
-        self._require_vertex(v)
-        near = {u for u in self.vertices() if self.adjacent(u, v)}
-        return self.full_subcomplex(near)
+        i = self._id(v)
+        near = {i}
+        for s in self._simplices:
+            if len(s) == 2 and i in s:
+                near.update(s)
+        return _from_ids(self._labels, filter(near.issuperset, self._simplices))
 
     def link(self, v: Label) -> "Complex":
         """Simplices not containing v whose join with v lies in the complex."""
-        self._require_vertex(v)
-        return _raw(
-            s
-            for s in self._simplices
-            if v not in s and (s | {v}) in self._simplices
+        i = self._id(v)
+        simplices = self._simplices
+        return _from_ids(
+            self._labels,
+            (s for s in simplices if i not in s and tuple(sorted(s + (i,))) in simplices),
         )
 
     # -- structure tests ----------------------------------------------
@@ -134,33 +184,31 @@ class Complex:
     def is_flag(self) -> bool:
         """Every pairwise-adjacent vertex triple spans a triangle."""
         neighbours, edges = self._graph()
+        simplices = self._simplices
         for u, w in edges:
+            # u < w, so the triangle is checked once, from its lowest edge
             for z in neighbours[u] & neighbours[w]:
-                if frozenset((u, w, z)) not in self._simplices:
+                if z > w and (u, w, z) not in simplices:
                     return False
         return True
 
     def euler_characteristic(self) -> int:
-        return (
-            len(self.simplices(0))
-            - len(self.simplices(1))
-            + len(self.simplices(2))
-        )
+        v, e, f = self.f_vector()
+        return v - e + f
 
-    def _graph(self) -> tuple[dict[Label, set], list[tuple]]:
+    def _graph(self) -> tuple[dict[int, set], list[tuple]]:
         """The neighbour set of every vertex and the edges as pairs, read
         off the simplex set in one pass."""
-        neighbours: dict[Label, set] = defaultdict(set)
+        neighbours: dict[int, set] = defaultdict(set)
         edges = []
         for s in self._simplices:
             if len(s) == 2:
                 u, w = s
                 neighbours[u].add(w)
                 neighbours[w].add(u)
-                edges.append((u, w))
+                edges.append(s)
             elif len(s) == 1:
-                for v in s:
-                    neighbours[v]  # an isolated vertex gets an empty set too
+                neighbours[s[0]]  # an isolated vertex gets an empty set too
         return neighbours, edges
 
     def _components(self) -> list[set]:
@@ -186,38 +234,39 @@ class Complex:
 
     def is_acyclic_graph(self) -> bool:
         """For 1-dimensional complexes: no cycles."""
-        if self.simplices(2):
+        v, e, f = self.f_vector()
+        if f:
             raise ValueError("acyclicity test requires a 1-dimensional complex")
-        return len(self.simplices(1)) + len(self._components()) == len(
-            self.simplices(0)
-        )
+        return e + len(self._components()) == v
 
     # -- subdivision ----------------------------------------------------
 
     def barycentric(self) -> "Complex":
         """Barycentric subdivision; barycenters are labelled by the
         sorted tuple of the original simplex labels."""
-        label = {}  # every barycenter shares its simplex's one label tuple
-        for s in self._simplices:
-            t = _label_sorted(s)
-            label[t] = t
-        out = [frozenset((t,)) for t in label]
-        for t in label:
-            if len(t) == 1:
-                continue
-            low = [label[(v,)] for v in t]
-            out += [frozenset((u, t)) for u in low]
-            if len(t) == 3:
-                for i, j in ((0, 1), (0, 2), (1, 2)):
-                    a, b = t[i], t[j]
-                    # a repr-ordered triangle may order its edge the other way
-                    mid = label.get((a, b)) or label[(b, a)]
-                    out += (
-                        frozenset((mid, t)),
-                        frozenset((low[i], mid, t)),
-                        frozenset((low[j], mid, t)),
-                    )
-        return _raw(out)
+        labels = self._labels
+        by_dim = ([], [], [])
+        for s in sorted(self._simplices):
+            by_dim[len(s) - 1].append(s)
+        vertices, edges, triangles = by_dim
+        order = vertices + edges + triangles
+        bary = {s: k for k, s in enumerate(order)}
+        table = tuple(_label_sorted([labels[i] for i in s]) for s in order)
+        out = [(k,) for k in range(len(order))]
+        for s in edges:
+            a, b = s
+            e = bary[s]
+            out += ((bary[(a,)], e), (bary[(b,)], e))
+        for s in triangles:
+            a, b, c = s
+            t = bary[s]
+            va, vb, vc = bary[(a,)], bary[(b,)], bary[(c,)]
+            ab, ac, bc = bary[(a, b)], bary[(a, c)], bary[(b, c)]
+            out += (
+                (va, t), (vb, t), (vc, t), (ab, t), (ac, t), (bc, t),
+                (va, ab, t), (vb, ab, t), (va, ac, t), (vc, ac, t), (vb, bc, t), (vc, bc, t),
+            )
+        return _from_ids(table, out)
 
     # -- serialization ---------------------------------------------------
 
@@ -256,25 +305,12 @@ class Complex:
             raise ValueError("JSON nested too deeply") from None
         return cls.from_json_dict(data)
 
-    def to_dot(self) -> str:
-        """GraphViz rendering of a complex of dimension at most 1."""
-        if self.simplices(2):
-            raise ValueError("dot export requires a 1-dimensional complex")
-        verts = sorted(self.vertices(), key=str)
-        ids = {v: f"n{i}" for i, v in enumerate(verts)}
-        lines = ["graph complex {"]
-        for v in verts:
-            lines.append(f'  {ids[v]} [label="{v}"];')
-        for e in sorted((tuple(sorted(e, key=str)) for e in self.simplices(1))):
-            u, w = e
-            lines.append(f"  {ids[u]} -- {ids[w]};")
-        lines.append("}")
-        return "\n".join(lines)
 
-
-def _raw(simplices: Iterable[frozenset]) -> Complex:
-    # internal: the family is already downward closed
+def _from_ids(labels: tuple, simplices: Iterable[tuple]) -> Complex:
+    """A complex on the label table `labels` from sorted id tuples that are
+    already closed under faces."""
     c = Complex.__new__(Complex)
+    c._labels = labels
     c._simplices = frozenset(simplices)
     return c
 
@@ -287,4 +323,6 @@ def remove_open_stars(subdivision: Complex, original_vertices: Iterable[Label]) 
     subdividing; their barycenters carry the labels `(v,)`.
     """
     removed = {(v,) for v in original_vertices}
-    return _raw(s for s in subdivision.simplices() if removed.isdisjoint(s))
+    labels = subdivision._labels
+    gone = {i for i, label in enumerate(labels) if label in removed}
+    return _from_ids(labels, filter(gone.isdisjoint, subdivision._simplices))

@@ -8,12 +8,16 @@
 # its label; `remove_open_stars` scans the vertices for a keep set and
 # takes the full subcomplex on it.  The queries the oracle's users need
 # (`simplices`, `vertices`, `maximal_simplices`, equality and JSON text)
-# are copied with them.  Stdlib only: nothing here imports
-# goeritz.simplicial.
+# are copied with them.  `has`, `dim`, `adjacent`, `star`, `link`,
+# `is_flag`, `euler_characteristic`, `is_connected` and
+# `is_acyclic_graph` are the frozenset-of-labels versions that
+# goeritz.simplicial had before it moved onto int vertex ids.  Stdlib
+# only: nothing here imports goeritz.simplicial.
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from itertools import combinations
 from typing import Hashable, Iterable
 
@@ -58,6 +62,13 @@ class Complex:
     def vertices(self) -> frozenset:
         return frozenset(v for s in self._simplices if len(s) == 1 for v in s)
 
+    def has(self, simplex: Iterable[Label]) -> bool:
+        return frozenset(simplex) in self._simplices
+
+    def dim(self) -> int:
+        """Dimension; -1 for the empty complex."""
+        return max((len(s) for s in self._simplices), default=0) - 1
+
     def maximal_simplices(self) -> list[tuple]:
         # the family is downward closed, so a simplex that is a proper
         # face of another is a facet (one vertex fewer) of some simplex
@@ -74,10 +85,96 @@ class Complex:
     def __hash__(self) -> int:
         return hash(self._simplices)
 
+    def _require_vertex(self, v: Label) -> None:
+        if frozenset([v]) not in self._simplices:
+            raise ValueError(f"unknown vertex {v!r}")
+
+    def adjacent(self, w: Label, v: Label) -> bool:
+        """True when w and v are equal or span an edge."""
+        self._require_vertex(w)
+        self._require_vertex(v)
+        return w == v or frozenset([w, v]) in self._simplices
+
     def full_subcomplex(self, keep: Iterable[Label]) -> "Complex":
         """All simplices whose vertices all lie in `keep`."""
         keep = set(keep)
         return _raw(s for s in self._simplices if s <= keep)
+
+    def star(self, v: Label) -> "Complex":
+        """The full subcomplex on all vertices adjacent to v (v included)."""
+        self._require_vertex(v)
+        near = {u for u in self.vertices() if self.adjacent(u, v)}
+        return self.full_subcomplex(near)
+
+    def link(self, v: Label) -> "Complex":
+        """Simplices not containing v whose join with v lies in the complex."""
+        self._require_vertex(v)
+        return _raw(
+            s
+            for s in self._simplices
+            if v not in s and (s | {v}) in self._simplices
+        )
+
+    def is_flag(self) -> bool:
+        """Every pairwise-adjacent vertex triple spans a triangle."""
+        neighbours, edges = self._graph()
+        for u, w in edges:
+            for z in neighbours[u] & neighbours[w]:
+                if frozenset((u, w, z)) not in self._simplices:
+                    return False
+        return True
+
+    def euler_characteristic(self) -> int:
+        return (
+            len(self.simplices(0))
+            - len(self.simplices(1))
+            + len(self.simplices(2))
+        )
+
+    def _graph(self) -> tuple[dict[Label, set], list[tuple]]:
+        """The neighbour set of every vertex and the edges as pairs, read
+        off the simplex set in one pass."""
+        neighbours: dict[Label, set] = defaultdict(set)
+        edges = []
+        for s in self._simplices:
+            if len(s) == 2:
+                u, w = s
+                neighbours[u].add(w)
+                neighbours[w].add(u)
+                edges.append((u, w))
+            elif len(s) == 1:
+                for v in s:
+                    neighbours[v]  # an isolated vertex gets an empty set too
+        return neighbours, edges
+
+    def _components(self) -> list[set]:
+        neighbours, _ = self._graph()
+        seen: set = set()
+        parts = []
+        for v in neighbours:
+            if v in seen:
+                continue
+            comp = {v}
+            stack = [v]
+            while stack:
+                for w in neighbours[stack.pop()]:
+                    if w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+            seen |= comp
+            parts.append(comp)
+        return parts
+
+    def is_connected(self) -> bool:
+        return len(self._components()) <= 1
+
+    def is_acyclic_graph(self) -> bool:
+        """For 1-dimensional complexes: no cycles."""
+        if self.simplices(2):
+            raise ValueError("acyclicity test requires a 1-dimensional complex")
+        return len(self.simplices(1)) + len(self._components()) == len(
+            self.simplices(0)
+        )
 
     def barycentric(self) -> "Complex":
         """Barycentric subdivision; barycenters are labelled by the

@@ -1,6 +1,7 @@
 """Dimension <= 2 simplicial complexes: closure, star, link, flag test,
 barycentric subdivision and open-star removal."""
 
+import gc
 import json
 import random
 
@@ -193,8 +194,18 @@ def test_full_subcomplex():
     assert sub.vertices() == {"a", "b", "d"}
 
 
-def test_to_dot_for_graphs():
-    dot = BOUNDARY.to_dot()
-    assert dot.count(" -- ") == 3
-    with pytest.raises(ValueError):
-        TRIANGLE.to_dot()
+
+def test_subdivision_keeps_one_gc_tracked_object_per_input_simplex():
+    # The subdivision's simplices are int tuples, which the collector stops
+    # tracking; what stays tracked is one label tuple per barycenter, plus
+    # the table, the simplex set and the complex.  Host-independent, unlike
+    # a timing: it counts objects, not pauses.
+    complex_ = farey.build(64)
+    assert sum(complex_.f_vector()) == 5_043
+    gc.collect()
+    before = len(gc.get_objects())
+    subdivision = complex_.barycentric()
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert added <= 5_043 + 16, added
+    assert len(subdivision.vertices()) == 5_043

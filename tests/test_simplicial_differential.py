@@ -2,12 +2,16 @@
 kept in tests/simplicial_reference.py: the same simplices and the same
 JSON text from closure, barycentric subdivision and open-star removal,
 on random complexes over mixed int and str labels and on truncated
-Farey complexes.
+Farey complexes; every other query (has, adjacent, star, link,
+full_subcomplex, the structure tests) on such complexes and on their
+subdivisions; and farey._check_axioms against its former label reading.
 
 Labels such as 10, 9 and "a" do not sort together, so a simplex holding
 them is labelled in repr order, where an edge of it may sort the other
 way round ({10, 9, "a"} is ("a", 10, 9), its edge {9, 10} is (9, 10)).
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 
 import simplicial_reference as ref
 from goeritz import farey
+from goeritz.contract import check_blocking_answer
 from goeritz.simplicial import Complex, remove_open_stars
 
 MIXED_LABELS = [1, 2, 9, 10, "a", "10"]
@@ -80,3 +85,99 @@ def test_farey_build_is_closed_as_built(window):
 def test_farey_subdivisions_match_reference(n, window):
     built = farey.build(n, window)
     _assert_same_subdivision(built, ref.Complex(built.simplices()))
+
+
+# -- every query against the frozenset-of-labels layer ---------------------
+
+
+def _outcome(call):
+    """The value of a call, or the type and text of the error it raised."""
+    try:
+        result = call()
+    except ValueError as err:
+        return ValueError, str(err)
+    if isinstance(result, (Complex, ref.Complex)):
+        return result.simplices(), result.to_json()
+    return result
+
+
+def _assert_same_queries(new, old, data):
+    """Every query of the former layer gives the same answer on `new`, for
+    labels drawn from the complex's vertices and a few that are absent."""
+    assert new.dim() == old.dim()
+    assert new.euler_characteristic() == old.euler_characteristic()
+    assert new.is_flag() == old.is_flag()
+    assert new.is_connected() == old.is_connected()
+    assert _outcome(new.is_acyclic_graph) == _outcome(old.is_acyclic_graph)
+    assert new.vertices() == old.vertices()
+    assert new.maximal_simplices() == old.maximal_simplices()
+    labels = sorted(old.vertices(), key=repr) + ["absent", (1,)]
+    pick = st.sampled_from(labels)
+    for _ in range(3):
+        v, w = data.draw(pick), data.draw(pick)
+        simplex = data.draw(st.lists(pick, max_size=4))
+        keep = data.draw(st.lists(pick, max_size=len(labels)))
+        assert new.has(simplex) == old.has(simplex)
+        assert _outcome(lambda: new.adjacent(v, w)) == _outcome(lambda: old.adjacent(v, w))
+        for query in ("star", "link"):
+            assert _outcome(lambda: getattr(new, query)(v)) == _outcome(
+                lambda: getattr(old, query)(v))
+        assert _outcome(lambda: new.full_subcomplex(keep)) == _outcome(
+            lambda: old.full_subcomplex(keep))
+
+
+@given(families, st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_query_matches_reference_on_complex_and_subdivision(raw, data):
+    new, old = Complex(raw), ref.Complex(raw)
+    _assert_same_queries(new, old, data)
+    _assert_same_queries(new.barycentric(), old.barycentric(), data)
+
+
+def _former_check_axioms(complex_, n, samples, seed):
+    """farey._check_axioms as it was when it read label frozensets; only the
+    module prefixes and one line break are new."""
+    report = farey.AxiomReport(n, samples)
+    verts = sorted(complex_.vertices())
+    for u in verts:
+        if farey.remoteness(u) == 0 and not farey.adjacent(u, farey.BASE):
+            report.violations.append(f"remoteness 0 at {u} outside the base star")
+    positive = [u for u in verts if farey.remoteness(u) > 0]
+    near = {u: [u] for u in verts}
+    for u, w in complex_.simplices(1):
+        near[u].append(w)
+        near[w].append(u)
+    stars = {u: sorted(near[u]) for u in positive}
+    rng = random.Random(seed)
+    for _ in range(samples):
+        v = rng.choice(positive)
+        xs = tuple(rng.choice(stars[v]) for _ in range(rng.randint(0, 3)))
+        try:
+            value, witness = farey.blocking(xs, v)
+        except farey.WitnessNotFound as err:
+            report.violations.append(str(err))
+            continue
+        problems = check_blocking_answer(
+            farey.adjacent, farey.remoteness, xs, v, value, witness)
+        report.violations.extend(problems)
+        if value > 0 and not problems:
+            vp, wp = witness
+            ys = list(xs)
+            ys.remove(vp)
+            ys.append(wp)
+            new_value, _ = farey.blocking(tuple(ys), v)
+            if new_value >= value:
+                report.violations.append(
+                    f"blocking did not decrease: {value} -> {new_value} at {v}"
+                )
+    return report
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_check_axioms_reports_match_the_label_reading(window):
+    for n in range(1, 33):
+        built = farey.build(n, window)
+        old = ref.Complex(built.simplices())
+        for seed in (n, n + 100):
+            assert farey._check_axioms(built, n, 60, seed) == _former_check_axioms(
+                old, n, 60, seed), (n, seed)

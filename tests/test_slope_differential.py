@@ -100,7 +100,18 @@ def test_build_matches_reference_and_pair_scan(window):
             assert complex_ == _brute_force_build(n, window), n
 
 
-@pytest.mark.parametrize("window", [(1, 0), (3, 2), (-3, -4)])
+# farey.build reads a bound by as_integer_ratio, the reference by Fraction:
+# both are exact, so 0.1 excludes 1/10 and 0.7 excludes 7/10, where float
+# products (0.1 * 10 == 1.0) would let them in
+@pytest.mark.parametrize("window", [
+    (Fraction(1, 3), Fraction(5, 2)), (0.1, 0.7), (-2.5, Fraction(-1, 3)), (2 / 7, Fraction(2, 7)),
+])
+def test_fraction_and_float_windows_match_reference(window):
+    for n in range(1, 25):
+        assert farey.build(n, window).simplices() == ref.build(n, window).simplices(), n
+
+
+@pytest.mark.parametrize("window", [(1, 0), (3, 2), (-3, -4), (Fraction(1, 2), 0.25), (Fraction(2, 7), 2 / 7)])
 def test_reversed_windows_raise_like_reference(window):
     with pytest.raises(ValueError) as new:
         farey.build(5, window)
