@@ -1,7 +1,7 @@
 """Size ladders for the slope fixture: `contract.contract_loop`, the JSON
 round trip of its certificates, `farey.build`, `farey.verify_axioms`,
-and the simplicial layer's `barycentric` and `remove_open_stars` on
-`farey.build(n)`, time against size.
+the farey oracles, and the simplicial layer's `barycentric` and
+`remove_open_stars` on `farey.build(n)`, time against size.
 
     python benchmarks/slope.py [--out BENCH_slope.json] [--parent PARENT.json]
 
@@ -18,6 +18,13 @@ certificate_json times the certificate round trip on the contract_loop
 certificates of the same loops: `to_json`, then `json.loads`, then
 `HomotopyCertificate.from_json_dict(..., farey.parse_slope)` (the
 certificate is made outside the timing).
+oracles times a fixed seeded batch of ORACLE_BATCH slopes p/q with
+denominator q = 2^8, 2^10, ..., 2^20 and odd p: per slope v one
+`parents(v)`, three `adjacent` calls (v and a parent, the two parents,
+the two children v + parent) and two `blocking` calls (one parent, which
+is unblocked, and the two children, which block); its probe counts the
+calls.  The row for layer "farey_reference" runs the same batch through
+the former oracles kept in tests/farey_reference.py.
 The rows for layer "slope" time the package in src/; the rows for layer
 "slope_reference" time the former pair-scanning and recompute-every-move
 code kept in tests/slope_reference.py, on the rungs up to REFERENCE_MAX.
@@ -40,6 +47,7 @@ import random
 from collections import Counter
 
 import ladder  # first: it puts src/ and tests/ on sys.path
+import farey_reference
 import simplicial_reference
 import slope_reference
 from goeritz import contract, farey, simplicial
@@ -47,6 +55,8 @@ from goeritz import contract, farey, simplicial
 LOOP_LADDER = (100, 200, 400, 800, 1600, 3200, 6400, 12800)  # positions
 FAREY_LADDER = (16, 32, 64, 128)  # max denominator
 SIMPLICIAL_LADDER = FAREY_LADDER + (256,)
+ORACLE_LADDER = tuple(1 << k for k in range(8, 21, 2))  # denominator
+ORACLE_BATCH = 1000
 SEGMENT = 50
 AXIOM_SAMPLES = 200
 REFERENCE_MAX = {"contract_loop": 1600, "build": 64, "verify_axioms": 64}
@@ -140,6 +150,39 @@ def _simplicial_rows(layer: str, module):
     return rows
 
 
+def _oracle_rows(layer: str, module):
+    """The oracles row for farey or farey_reference (module)."""
+
+    def batch(q: int) -> list:
+        rng = random.Random(SEED + q)
+        out = []
+        for _ in range(ORACLE_BATCH):
+            v = farey.Slope(rng.randrange(-q, q) | 1, q)  # odd p: lowest terms
+            a, b = farey.parents(v)
+            kids = (farey.mediant(a, v), farey.mediant(b, v))
+            out.append(tuple(module.Slope(u.p, u.q) for u in (v, a, b) + kids))
+        return out
+
+    def calls(items: list, parents, adjacent, blocking) -> None:
+        for v, a, b, c, d in items:
+            parents(v)
+            adjacent(v, a)
+            adjacent(a, b)
+            adjacent(c, d)
+            blocking((a,), v)
+            blocking((c, d), v)
+
+    def counters(items: list) -> dict:
+        counts: Counter = Counter()
+        calls(items, *(_counted(counts, name, getattr(module, name))
+                       for name in ("parents", "adjacent", "blocking")))
+        return {"slopes": len(items), "calls": dict(sorted(counts.items()))}
+
+    return [(layer, "oracles", _rungs(ORACLE_LADDER, batch),
+             lambda items: calls(items, module.parents, module.adjacent, module.blocking),
+             counters)]
+
+
 def _certificate(positions: int) -> contract.HomotopyCertificate:
     return contract.contract_loop(farey.adjacent, farey.remoteness, farey.blocking,
                                   _loop(positions), farey.BASE)
@@ -160,10 +203,12 @@ def _rows():
     yield from _slope_rows("slope", contract.contract_loop, farey.build, farey.verify_axioms, {})
     yield ("slope", "certificate_json", _rungs(LOOP_LADDER, _certificate), _round_trip,
            _certificate_counters)
+    yield from _oracle_rows("slope", farey)
     yield from _simplicial_rows("slope", simplicial)
     yield from _slope_rows("slope_reference", slope_reference.contract_loop,
                            slope_reference.build, slope_reference.verify_axioms, REFERENCE_MAX)
     yield from _simplicial_rows("simplicial_reference", simplicial_reference)
+    yield from _oracle_rows("farey_reference", farey_reference)
 
 
 if __name__ == "__main__":

@@ -256,7 +256,9 @@ def _cmd_farey(args: argparse.Namespace) -> int:
     }
     code = 0
     if args.verify_axioms:
-        report = farey._check_axioms(complex_, args.n, args.samples, args.seed)
+        report = farey._check_axioms(
+            complex_, args.n, args.samples, args.seed, tuple(args.window)
+        )
         lines.append(
             f"axioms: {report.samples} samples, {len(report.violations)} violations"
         )

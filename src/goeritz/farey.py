@@ -22,6 +22,15 @@ is an admissible replacement (every member of X is adjacent to v
 already).
 
 A Slope is the tuple (q, p), so every layer hashes and sorts slopes in C.
+The public constructor Slope(p, q) checks lowest terms.  The hot paths
+here skip that check, building the tuple with tuple.__new__, only where
+lowest terms hold by construction: build() for each p/q it has just
+tested with gcd, and the parent arithmetic for both parents, each of
+which is Farey-adjacent to a reduced slope and so is reduced itself.
+For q >= 2 the parents r/s and (p-r)/(q-s) of p/q come from
+p*s - r*q = 1, so r*q - p*s = -1 and r/s < (p-r)/(q-s): they come out
+in ascending order with no comparison
+(Graham, Knuth and Patashnik, Concrete Mathematics, section 4.5).
 
 This module is an analogue used as an engine fixture, not a model of
 the disk complex the rest of the package is about.
@@ -87,10 +96,13 @@ class Slope(tuple):
         raise TypeError("a Slope is one vertex; read .p and .q")
 
     def __repr__(self) -> str:
-        return f"Slope(p={self.p}, q={self.q})"
+        return f"Slope(p={self[1]}, q={self[0]})"
 
     def __str__(self) -> str:
-        return "inf" if self.q == 0 else f"{self.p}/{self.q}"
+        return "inf" if self[0] == 0 else f"{self[1]}/{self[0]}"
+
+
+_trusted = tuple.__new__  # _trusted(Slope, (q, p)) for a p/q known to be a slope
 
 
 INFINITY = Slope(1, 0)
@@ -129,7 +141,7 @@ def det_intersection(u: Slope, v: Slope) -> int:
 
 def adjacent(u: Slope, v: Slope) -> bool:
     """Equal or intersecting once."""
-    return u == v or det_intersection(u, v) == 1
+    return u == v or abs(u.p * v.q - u.q * v.p) == 1
 
 
 def remoteness(v: Slope) -> int:
@@ -148,17 +160,19 @@ def parents(v: Slope) -> tuple[Slope, Slope]:
     integer n/1 they are (infinity, n-1).  Infinity itself has no
     parents.
     """
-    if v.q == 0:
+    q = v.q
+    if q == 0:
         raise ValueError("infinity has no parents")
-    if v.q == 1:
-        return (INFINITY, Slope(v.p - 1, 1))
-    s = pow(v.p, -1, v.q)  # p*s = 1 + r*q for some r
-    r = (s * v.p - 1) // v.q
-    a = Slope(r, s)
-    b = Slope(v.p - r, v.q - s)
-    if a.p * b.q < b.p * a.q:  # ascending numeric order
-        return (a, b)
-    return (b, a)
+    return _parents(q, v.p)
+
+
+def _parents(q: int, p: int) -> tuple[Slope, Slope]:
+    """parents() of the slope p/q, q >= 1, in ascending order."""
+    if q == 1:
+        return (INFINITY, _trusted(Slope, (1, p - 1)))
+    s = pow(p, -1, q)  # p*s = 1 + r*q for some r
+    r = (s * p - 1) // q
+    return (_trusted(Slope, (s, r)), _trusted(Slope, (q - s, p - r)))
 
 
 def neighbours(v: Slope, bound: int) -> list[Slope]:
@@ -193,27 +207,42 @@ def blocking(x_members: Iterable[Slope], v: Slope) -> tuple[int, object]:
     of v' adjacent to v and to every member of X adjacent to v'.
     """
     xs = tuple(sorted(x_members))
-    if remoteness(v) == 0:
+    q = v.q
+    if q == 0:
         raise ValueError("blocking needs a vertex of positive remoteness")
+    p = v.p
     for u in xs:
-        if not adjacent(u, v):
+        if u != v and abs(u.p * q - u.q * p) != 1:
             raise ValueError(f"{u} is not adjacent to {v}: not an adjacency pair")
-    for w in parents(v):
+    for w in _parents(q, p):
+        w_q, w_p = w[0], w[1]
         # for an integer slope the second parent has the same
         # denominator, so it is not a legal witness
-        if remoteness(w) < remoteness(v) and all(adjacent(u, w) for u in xs):
-            return 0, w
-    value = sum(remoteness(u) for u in xs)
-    max_r = max(remoteness(u) for u in xs)
-    for vp in xs:
-        if remoteness(vp) != max_r or remoteness(vp) == 0:
+        if w_q < q:
+            for u in xs:
+                if u != w and abs(u.p * w_q - u.q * w_p) != 1:
+                    break
+            else:
+                return 0, w
+    rs = [u.q for u in xs]
+    value = sum(rs)
+    max_r = max(rs)
+    for vp, vp_q in zip(xs, rs):
+        if vp_q != max_r or vp_q == 0:
             continue
-        for wp in parents(vp):
-            if remoteness(wp) >= remoteness(vp):
+        vp_p = vp.p
+        for wp in _parents(vp_q, vp_p):
+            wp_q, wp_p = wp[0], wp[1]
+            if wp_q >= vp_q or (wp != v and abs(wp_p * q - wp_q * p) != 1):
                 continue
-            if adjacent(wp, v) and all(
-                adjacent(u, wp) for u in xs if adjacent(u, vp)
-            ):
+            # every member adjacent to v' must be adjacent to w'
+            for u in xs:
+                u_p, u_q = u.p, u.q
+                if (u == vp or abs(u_p * vp_q - u_q * vp_p) == 1) and (
+                    u != wp and abs(u_p * wp_q - u_q * wp_p) != 1
+                ):
+                    break
+            else:
                 return value, (vp, wp)
     raise WitnessNotFound(f"no witness for X={[str(u) for u in xs]}, v={v}")
 
@@ -222,7 +251,7 @@ def build(n: int, window: tuple[int, int] = (0, 1)) -> Complex:
     """Truncated Farey complex: slopes with denominator at most n and
     value inside the window, plus infinity.
 
-    Edges and triangles come from one parents() call per vertex (see the
+    Edges and triangles come from the two parents of each vertex (see the
     module docstring); a simplex is kept when the window keeps all of
     its vertices.  The list is closed under faces by construction, so it
     becomes the complex as built, without a second closure pass.
@@ -235,31 +264,31 @@ def build(n: int, window: tuple[int, int] = (0, 1)) -> Complex:
     (lo_num, lo_den), (hi_num, hi_den) = (end.as_integer_ratio() for end in window)
     if lo_num * hi_den > hi_num * lo_den:
         raise ValueError(f"window ({window[0]}, {window[1]}) has lower end above upper end")
-    verts = [INFINITY]
+    index = {INFINITY: 0}  # slope -> id, in id order
+    simplices = [(0,)]
+    # q, then p, ascending: the slopes come out sorted and distinct, so
+    # the ids follow the order Complex gives labels, and both parents of
+    # a slope sort before it and already have their ids
     for q in range(1, n + 1):
         p_lo = -(-lo_num * q // lo_den)  # ceil(lo*q)
         p_hi = hi_num * q // hi_den  # floor(hi*q)
         for p in range(p_lo, p_hi + 1):
-            if gcd(abs(p), q) == 1:
-                verts.append(Slope(p, q))
-    verts = sorted(set(verts))
-    index = {u: i for i, u in enumerate(verts)}
-    simplices = [(i,) for i in range(len(verts))]
-    for w in range(1, len(verts)):  # verts[0] is infinity, which has no parents
-        pa, pb = parents(verts[w])
-        a, b = index.get(pa), index.get(pb)
-        # a parent sorts before its child, so w is the highest id
-        if a is not None:
-            simplices.append((a, w))
-        if b is not None:
-            simplices.append((b, w))
-            if a is not None:
-                simplices.append((min(a, b), max(a, b), w))
+            if gcd(p, q) == 1:
+                w = len(index)
+                index[_trusted(Slope, (q, p))] = w
+                simplices.append((w,))
+                pa, pb = _parents(q, p)
+                a, b = index.get(pa), index.get(pb)
+                if a is not None:
+                    simplices.append((a, w))
+                if b is not None:
+                    simplices.append((b, w))
+                    if a is not None:
+                        simplices.append((a, b, w) if a < b else (b, a, w))
     # Closed under faces as built: each edge joins a vertex to a present
     # parent, and a triangle's third edge joins the two parents, one of
     # which is a parent of the other, so it is listed with that vertex.
-    # The ids follow the sorted vertices, the order Complex gives labels.
-    return _from_ids(tuple(verts), simplices)
+    return _from_ids(tuple(index), simplices)
 
 
 @dataclass
@@ -281,18 +310,25 @@ def verify_axioms(
     """Sample random adjacency pairs in build(n, window) and check every
     clause of the blocking contract with contract.check_blocking_answer,
     plus the strict decrease after a replacement.  Violations are
-    reported verbatim, never repaired."""
-    return _check_axioms(build(n, window), n, samples, seed)
+    reported verbatim, never repaired.  ValueError when samples > 0 and
+    the window holds no finite slope to sample."""
+    return _check_axioms(build(n, window), n, samples, seed, window)
 
 
-def _check_axioms(complex_: Complex, n: int, samples: int, seed: int) -> AxiomReport:
-    """verify_axioms on an already built complex (build(n, window))."""
+def _check_axioms(
+    complex_: Complex, n: int, samples: int, seed: int, window: tuple = (0, 1)
+) -> AxiomReport:
+    """verify_axioms on an already built complex, build(n, window)."""
     report = AxiomReport(n, samples)
     verts = sorted(complex_.vertices())
     for u in verts:
         if remoteness(u) == 0 and not adjacent(u, BASE):
             report.violations.append(f"remoteness 0 at {u} outside the base star")
     positive = [u for u in verts if remoteness(u) > 0]
+    if samples > 0 and not positive:
+        raise ValueError(
+            f"build({n}, window=({window[0]}, {window[1]})) has no finite slope to sample"
+        )
     near: dict[Slope, list[Slope]] = {u: [u] for u in verts}
     labels = complex_._labels
     for s in complex_._simplices:

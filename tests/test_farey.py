@@ -303,6 +303,17 @@ def test_verify_axioms_samples_inside_the_window(monkeypatch, capsys):
         verify_axioms(6, 10, 0, (1, 0))
 
 
+def test_verify_axioms_on_a_window_without_finite_slopes():
+    window = (Fraction(1, 5), Fraction(3, 10))
+    assert [str(v) for v in build(3, window).vertices()] == ["inf"]
+    with pytest.raises(ValueError) as err:
+        verify_axioms(3, 10, window=window)
+    assert str(err.value) == "build(3, window=(1/5, 3/10)) has no finite slope to sample"
+    report = verify_axioms(3, 0, window=window)
+    assert report.ok and report.samples == 0
+    assert verify_axioms(10, 10, window=window).ok  # 1/4 and 2/7 come in at n = 4
+
+
 def test_cli_verify_axioms_builds_the_complex_once(monkeypatch, capsys):
     calls = []
 
