@@ -3,10 +3,14 @@
 
     python benchmarks/tree.py [--out BENCH_tree.json] [--parent PARENT.json]
 
-The rungs are the balls (radius, 2) for radius 3 to 8: 72, 200, 584,
-1,608, 4,680 and 12,872 vertices, about 2.8x per rung, n being the
-ball's vertex count.  is_tree, to_dot and quotient run on a ball built
-outside the timing.  Each rung is timed as the minimum of three
+Each op has two rows.  The first has the balls (radius, 2) for radius
+3 to 8: 72, 200, 584, 1,608, 4,680 and 12,872 vertices, about 2.8x per
+rung, n being the ball's vertex count.  The second has the balls
+(radius, 3) for radius 4 to 7, the max_power of the large balls of
+perfbench's short_words workload: 418, 1,570, 5,026 and 18,850
+vertices, about 3.5x per rung.  A record's counters name its radius and
+max_power.  is_tree, to_dot and quotient run on a ball built outside
+the timing.  Each rung is timed as the minimum of three
 repeats; the untimed probe counts the calls of
 `amalgam.check_syllables` (the one syllable check, run by every
 `NormalForm`) by wrapping it under each module name it is looked up
@@ -21,7 +25,10 @@ from __future__ import annotations
 import ladder  # first: it puts src/ and tests/ on sys.path
 from goeritz import amalgam, tree
 
-BALL_LADDER = tuple((radius, 2) for radius in range(3, 9))  # (radius, max_power)
+BALL_LADDERS = (  # (radius, max_power), one ladder per row
+    tuple((radius, 2) for radius in range(3, 9)),
+    tuple((radius, 3) for radius in range(4, 8)),
+)
 REPEATS = 3
 OPS = {
     "ball": lambda b: tree.ball(b.radius, b.max_power),
@@ -31,8 +38,8 @@ OPS = {
 }
 
 
-def _balls():
-    for radius, max_power in BALL_LADDER:
+def _balls(ladder):
+    for radius, max_power in ladder:
         b = tree.ball(radius, max_power)
         yield len(b.vertices), b
 
@@ -61,7 +68,8 @@ def _probe(run):
 
 
 def _rows():
-    return [("tree", op, _balls(), run, _probe(run)) for op, run in OPS.items()]
+    return [("tree", op, _balls(ladder), run, _probe(run))
+            for op, run in OPS.items() for ladder in BALL_LADDERS]
 
 
 if __name__ == "__main__":

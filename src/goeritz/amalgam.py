@@ -49,7 +49,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .stabilizers import EDGE_IDENTITY, EdgeStabilizer
+from .stabilizers import EDGE_A, EDGE_G, EDGE_GA, EDGE_IDENTITY, EdgeStabilizer
 
 __all__ = [
     "GENERATOR_ALPHABET",
@@ -173,6 +173,10 @@ _LETTER_FACTOR = {
 }
 
 
+# the edge-stabilizer element g^g a^a as _TAIL[g][a], built once
+_TAIL = ((EDGE_IDENTITY, EDGE_A), (EDGE_G, EDGE_GA))
+
+
 def _multiply(
     syllables: list[tuple[str, int]], g: int, a: int, factors: Iterable[tuple]
 ) -> NormalForm:
@@ -207,7 +211,7 @@ def _multiply(
             side_k, k = syllables.pop() if syllables else ("", 0)
     if side_k:
         syllables.append((side_k, k))
-    return NormalForm(tuple(syllables), EdgeStabilizer(g, a))
+    return NormalForm(tuple(syllables), _TAIL[g][a])
 
 
 def normal_form(word: str) -> NormalForm:

@@ -336,11 +336,14 @@ def _check_axioms(
             u, w = labels[s[0]], labels[s[1]]
             near[u].append(w)
             near[w].append(u)
-    stars = {u: sorted(near[u]) for u in positive}
+    stars: dict[Slope, list[Slope]] = {}  # each sampled star, sorted on its first draw
     rng = random.Random(seed)
     for _ in range(samples):
         v = rng.choice(positive)
-        xs = tuple(rng.choice(stars[v]) for _ in range(rng.randint(0, 3)))
+        star = stars.get(v)
+        if star is None:
+            star = stars[v] = sorted(near[v])
+        xs = tuple(rng.choice(star) for _ in range(rng.randint(0, 3)))
         try:
             value, witness = blocking(xs, v)
         except WitnessNotFound as err:

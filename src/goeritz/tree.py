@@ -8,10 +8,13 @@ stabilizers, so we call the two vertex kinds "pair" and "triple".
 Cosets are named by canonical representatives read off the normal form:
 a representative is a tuple of (side, power) syllables as in
 :mod:`goeritz.amalgam`, with the edge-stabilizer tail stripped.  An edge
-is named by its representative alone.  The endpoint rule, stated once in
+is named by its representative alone.  The endpoint rule, stated in
 ``_end``: the vertex of a kind at the end of the edge ``rep`` is ``rep``
 with a trailing syllable of that kind's own side ("P" for pair, "Q" for
 triple) dropped, since that syllable moves within the same coset.
+``act``, ``edge_endpoints`` and ``to_dot`` call ``_end``; the per-edge
+loops of ``ball`` and ``is_tree`` inline it, each with a comment that
+points back to it.
 Canonical pair representatives therefore never end in "P" and triple
 representatives never end in "Q".  Distinct canonical representatives
 name distinct cosets because normal forms are unique.
@@ -21,13 +24,18 @@ A pair vertex meets the edges g b^k H for all k (truncated to
 gH, g d H, g d^2 H.  A vertex is the plain key ``(kind, rep)`` and an
 edge is its ``rep``, everywhere: ``ball``, ``is_tree`` and ``to_dot``
 build and check no per-vertex object, and ``act`` and ``act_edge``
-check the vertex or edge they are given.
+check the vertex or edge they are given.  ``ball`` hashes each new key
+once, into one set of reps per vertex kind and one for the edges.
+``is_tree`` numbers the vertices and joins the two ends of each edge in
+a union-find forest with path halving (Tarjan, JACM 22, 1975): with one
+fewer edge than vertices, an edge that closes no cycle each time means
+the graph is connected, so no neighbour list or search is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .amalgam import NormalForm, mul_nf, nf_to_word, normal_form
 
@@ -98,14 +106,6 @@ def rep_word(rep: Rep) -> str:
     return nf_to_word(NormalForm(rep))
 
 
-def _incident(kind: str, rep: Rep, max_power: int) -> Iterator[Rep]:
-    """The rep of each edge at a vertex, lazily and in ball order: the
-    vertex's own rep, then it with one more syllable of the vertex's side."""
-    yield rep
-    side, powers = ("P", range(-max_power, max_power + 1)) if kind == PAIR else ("Q", (1, 2))
-    yield from (rep + ((side, k),) for k in powers if k)
-
-
 @dataclass
 class TreeBall:
     """A finite ball around the base edge, vertices in BFS order: each a
@@ -125,26 +125,40 @@ def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
     """
     if radius < 0 or max_power < 1:
         raise ValueError("radius must be >= 0 and max_power >= 1")
+    # the syllables a vertex appends to its rep, in ball order.  The base
+    # pair vertex, expanded first, adds a vertex for each of its syllables,
+    # so the cap is hit before 2 * cap of them and the rest go unread.
+    pair_side = [("P", k) for k in range(-max_power, max_power + 1)[:2 * max(cap, 1)] if k]
+    triple_side = [("Q", 1), ("Q", 2)]
     vertices = [(PAIR, ()), (TRIPLE, ())]
     edges = [()]
-    seen_v = set(vertices)
-    seen_e = set(edges)
+    seen_pair, seen_triple, seen_e = {()}, {()}, {()}
     frontier = vertices[:]
     for _ in range(radius):
         next_frontier = []
         for kind, rep in frontier:
-            other = TRIPLE if kind == PAIR else PAIR
-            for e in _incident(kind, rep, max_power):
-                if e not in seen_e:
-                    seen_e.add(e)
+            if kind == PAIR:
+                other, other_side, seen_w, own_side = TRIPLE, "Q", seen_triple, pair_side
+            else:
+                other, other_side, seen_w, own_side = PAIR, "P", seen_pair, triple_side
+            # the far end of the edge rep is _end(other, rep), inlined: rep
+            # with a trailing other_side syllable dropped.  Each edge
+            # rep + (s,) ends on the own side, so it is its own far end.
+            far = rep[:-1] if rep and rep[-1][0] == other_side else rep
+            for e in (rep, *[rep + (s,) for s in own_side]):
+                size = len(seen_e)
+                seen_e.add(e)
+                if len(seen_e) > size:
                     edges.append(e)
-                w = _end(other, e)
-                if w not in seen_v:
+                w = far if e is rep else e
+                size = len(seen_w)
+                seen_w.add(w)
+                if len(seen_w) > size:
                     if len(vertices) >= cap:
                         raise ValueError(f"ball exceeded vertex cap {cap}")
-                    seen_v.add(w)
-                    vertices.append(w)
-                    next_frontier.append(w)
+                    v = (other, w)
+                    vertices.append(v)
+                    next_frontier.append(v)
         frontier = next_frontier
     return TreeBall(radius, max_power, vertices, edges)
 
@@ -176,24 +190,42 @@ def stabilizer_of(vertex: Vertex, words: Iterable[str]) -> list[str]:
 
 def is_tree(b: TreeBall) -> bool:
     """Connected, one fewer edge than vertices, and no edge leaving the ball."""
-    if len(b.edges) != len(b.vertices) - 1:
+    vertices = b.vertices
+    if len(b.edges) != len(vertices) - 1:
         return False
-    neighbours: dict[Vertex, list[Vertex]] = {v: [] for v in b.vertices}
+    ids: dict[str, dict[Rep, int]] = {PAIR: {}, TRIPLE: {}}
+    try:
+        for i, (kind, rep) in enumerate(vertices):
+            ids[kind][rep] = i
+    except KeyError:  # a kind no edge meets: a tree only as the one vertex
+        return len(vertices) == 1
+    pair_ids, triple_ids = ids[PAIR], ids[TRIPLE]
+    if len(pair_ids) + len(triple_ids) != len(vertices):  # a duplicate vertex
+        return False
+    # union-find with path halving; V - 1 edges closing no cycle connect V
+    # vertices, so a cycle is the only way left to fail
+    parent = list(range(len(vertices)))
     for e in b.edges:
-        p, q = _end(PAIR, e), _end(TRIPLE, e)
+        # the two ends are _end(PAIR, e) and _end(TRIPLE, e), inlined
+        side = e[-1][0] if e else ""
         try:
-            neighbours[p].append(q)
-            neighbours[q].append(p)
+            p = pair_ids[e[:-1] if side == "P" else e]
+            q = triple_ids[e[:-1] if side == "Q" else e]
         except KeyError:  # an endpoint outside the ball
             return False
-    stack = [next(iter(neighbours))]  # the first vertex's key
-    seen = set(stack)
-    while stack:
-        for w in neighbours[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(b.vertices)
+        # path halving: each step moves p and its parent link to the grandparent
+        while p != (up := parent[p]):
+            parent[p] = p = parent[up]
+        while q != (up := parent[q]):
+            parent[q] = q = parent[up]
+        if p == q:
+            return False
+        # the later root joins the earlier, so a ball in BFS order stays flat
+        if p < q:
+            parent[q] = p
+        else:
+            parent[p] = q
+    return True
 
 
 @dataclass

@@ -12,7 +12,6 @@ from goeritz.tree import (
     TRIPLE,
     TreeBall,
     _end,
-    _incident,
     act,
     act_edge,
     ball,
@@ -95,7 +94,7 @@ def test_incident_far_endpoints_agree_with_edge_endpoints():
         for v in vertices:
             kind, rep = v
             other = TRIPLE if kind == PAIR else PAIR
-            reps = list(_incident(kind, rep, max_power))
+            reps = list(ref._incident(kind, rep, max_power))
             assert len(set(reps)) == (2 * max_power + 1 if kind == PAIR else 3)
             for e in reps:
                 assert set(edge_endpoints(e)) == {v, _end(other, e)}

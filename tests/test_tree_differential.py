@@ -1,7 +1,9 @@
 """goeritz.tree against the former coset-tree code in tests/tree_reference.py:
 the same is_tree verdicts on balls and on broken balls, byte-identical DOT
 text, the same vertex-cap overruns, and no syllable check in ball, is_tree
-or to_dot."""
+or to_dot.  Two generations of the former code are compared: the checked
+vertex objects, and the plain-key loops (ball_by_keys, is_tree_by_keys)
+that ball's hash-once loop and is_tree's union-find replaced."""
 
 import random
 
@@ -9,9 +11,12 @@ import pytest
 
 import tree_reference as ref
 from goeritz import amalgam
-from goeritz.tree import PAIR, TreeBall, ball, is_tree, to_dot
+from goeritz.tree import PAIR, TRIPLE, TreeBall, ball, is_tree, to_dot
 
 CRITERION_3_SIZES = [(r, p) for r in range(1, 7) for p in range(1, 4)]
+# the balls the short_words workload of perfbench/workloads.py builds
+# (its BALL_LADDER), and the next size up at its larger max_power
+WORKLOAD_BALLS = [(4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3), (7, 3)]
 
 
 def _mutants(b: TreeBall, rng: random.Random):
@@ -34,6 +39,9 @@ def _mutants(b: TreeBall, rng: random.Random):
     yield "duplicate an edge", make(vs, es + [es[j]])
     yield "duplicate a vertex and an edge", make(vs + [vs[i]], es + [es[j]])
     yield "duplicate a vertex, drop an edge", make(vs + [vs[i]], es[:j] + es[j + 1:])
+    if len(es) > 1:  # |V| - 1 edges, one of them twice: a cycle
+        k = (j + 1) % len(es)
+        yield "drop an edge, duplicate another", make(vs, es[:j] + es[j + 1:] + [es[k]])
     yield "swap in an edge leaving the ball", make(vs, es[:j] + [outside] + es[j + 1:])
     yield "add an edge leaving the ball", make(vs, es + [outside])
     shuffled_vs, shuffled_es = vs[:], es[:]
@@ -41,6 +49,8 @@ def _mutants(b: TreeBall, rng: random.Random):
     rng.shuffle(shuffled_es)
     yield "permute both lists", make(shuffled_vs, shuffled_es)
     yield "permute and drop an edge", make(shuffled_vs, shuffled_es[1:])
+    yield "an empty ball", make([], [])
+    yield "a one-vertex ball", make([vs[i]], [])
 
 
 def _as_reference(b: TreeBall) -> TreeBall:
@@ -55,9 +65,50 @@ def test_is_tree_verdicts_match_the_reference(radius, max_power):
     verdicts = set()
     for name, b in _mutants(ball(radius, max_power), rng):
         got, want = is_tree(b), ref.is_tree(_as_reference(b))
-        assert got == want, (radius, max_power, name)
+        assert got == want == ref.is_tree_by_keys(b), (radius, max_power, name)
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("radius, max_power", WORKLOAD_BALLS)
+def test_ball_matches_the_plain_key_loop_in_order(radius, max_power):
+    got, want = ball(radius, max_power), ref.ball_by_keys(radius, max_power)
+    assert got == want  # radius, max_power, and both lists in order
+    assert is_tree(got) and ref.is_tree_by_keys(got)
+
+
+def test_is_tree_on_vertices_no_ball_holds_matches_the_plain_key_loop():
+    # a vertex of an unknown kind or with a non-canonical rep meets no edge
+    strays = [("edge", ()), (PAIR, (("P", 1),)), (TRIPLE, (("Q", 2),))]
+    b = ball(1, 1)
+    for stray in strays:
+        for vertices, edges in [
+            ([stray], []),
+            ([b.vertices[0], stray], [()]),
+            (b.vertices + [stray], b.edges + [b.edges[-1]]),
+            (b.vertices[:-1] + [stray], b.edges),
+        ]:
+            mutant = TreeBall(1, 1, vertices, edges)
+            assert is_tree(mutant) == ref.is_tree_by_keys(mutant), (stray, vertices, edges)
+
+
+def _outcome(build, radius, max_power, cap):
+    try:
+        return build(radius, max_power, cap=cap)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_every_vertex_cap_overrun_matches_the_plain_key_loop():
+    # max_power at and around the cap, and far past it, where ball reads
+    # only the first 2 * cap syllables of the pair side
+    for cap in range(-1, 40):
+        powers = {1, 2, 3, cap - 1, cap, cap + 1, 2 * cap, 2 * cap + 1, 10**12}
+        for max_power in sorted(p for p in powers if p >= 1):
+            for radius in range(4):
+                got = _outcome(ball, radius, max_power, cap)
+                assert got == _outcome(ref.ball_by_keys, radius, max_power, cap), (
+                    radius, max_power, cap)
 
 
 def test_to_dot_matches_the_reference_byte_for_byte():

@@ -12,6 +12,8 @@
 # `CosetVertex`, `TreeEdge`, `_end` and the three base constructors are
 # verbatim copies of the checked vertex and edge classes that goeritz.tree
 # had before its vertices and edges became plain (kind, rep) and rep keys.
+# `_incident`, `ball_by_keys` and `is_tree_by_keys`, at the end, are the
+# plain-key loops that came after them.
 
 from __future__ import annotations
 
@@ -169,3 +171,74 @@ def to_dot(b: TreeBall) -> str:
         lines.append(f"  {ids[p]} -- {ids[q]};")
     lines.append("}")
     return "\n".join(lines)
+
+
+# The plain-key coset-tree loops from before ball hashed each key once and
+# is_tree became a union-find check, kept verbatim but for the names of
+# ball_by_keys and is_tree_by_keys.  They share _end above, the same text
+# as the package's.
+
+Rep = tuple[tuple[str, int], ...]
+Vertex = tuple[str, Rep]
+
+
+def _incident(kind: str, rep: Rep, max_power: int) -> Iterator[Rep]:
+    """The rep of each edge at a vertex, lazily and in ball order: the
+    vertex's own rep, then it with one more syllable of the vertex's side."""
+    yield rep
+    side, powers = ("P", range(-max_power, max_power + 1)) if kind == PAIR else ("Q", (1, 2))
+    yield from (rep + ((side, k),) for k in powers if k)
+
+
+def ball_by_keys(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
+    """Breadth-first ball of the given radius around the base edge.
+
+    Pair-vertex expansion is truncated to |k| <= max_power.  Raises
+    ValueError if the vertex count exceeds the cap.
+    """
+    if radius < 0 or max_power < 1:
+        raise ValueError("radius must be >= 0 and max_power >= 1")
+    vertices = [(PAIR, ()), (TRIPLE, ())]
+    edges = [()]
+    seen_v = set(vertices)
+    seen_e = set(edges)
+    frontier = vertices[:]
+    for _ in range(radius):
+        next_frontier = []
+        for kind, rep in frontier:
+            other = TRIPLE if kind == PAIR else PAIR
+            for e in _incident(kind, rep, max_power):
+                if e not in seen_e:
+                    seen_e.add(e)
+                    edges.append(e)
+                w = _end(other, e)
+                if w not in seen_v:
+                    if len(vertices) >= cap:
+                        raise ValueError(f"ball exceeded vertex cap {cap}")
+                    seen_v.add(w)
+                    vertices.append(w)
+                    next_frontier.append(w)
+        frontier = next_frontier
+    return TreeBall(radius, max_power, vertices, edges)
+
+
+def is_tree_by_keys(b: TreeBall) -> bool:
+    """Connected, one fewer edge than vertices, and no edge leaving the ball."""
+    if len(b.edges) != len(b.vertices) - 1:
+        return False
+    neighbours: dict[Vertex, list[Vertex]] = {v: [] for v in b.vertices}
+    for e in b.edges:
+        p, q = _end(PAIR, e), _end(TRIPLE, e)
+        try:
+            neighbours[p].append(q)
+            neighbours[q].append(p)
+        except KeyError:  # an endpoint outside the ball
+            return False
+    stack = [next(iter(neighbours))]  # the first vertex's key
+    seen = set(stack)
+    while stack:
+        for w in neighbours[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(b.vertices)
