@@ -1,7 +1,8 @@
 """Size ladders for the slope fixture: `contract.contract_loop`, the JSON
 round trip of its certificates, `farey.build`, `farey.verify_axioms`,
-the farey oracles, and the simplicial layer's `barycentric` and
-`remove_open_stars` on `farey.build(n)`, time against size.
+the farey oracles, and the simplicial layer's `barycentric`,
+`remove_open_stars`, `is_connected` and `is_acyclic_graph` on
+`farey.build(n)`, time against size.
 
     python benchmarks/slope.py [--out BENCH_slope.json] [--parent PARENT.json]
 
@@ -9,9 +10,11 @@ contract_loop runs on based loops of 100, 200, ..., 12,800 positions,
 each the concatenation of seeded 50-position `farey.random_based_loop`
 segments (the shape the benchmark's slope_fixture workload uses);
 build(n) and verify_axioms(n, 200, seed) run at n = 16, 32, 64, 128;
-barycentric and remove_open_stars on the subdivision run on the
-complex with the simplices of build(n), made by each layer's public
-`Complex` outside the timing, at n = 16, ..., 256.  Each rung is
+barycentric, remove_open_stars on the subdivision and is_connected run
+on the complex with the simplices of build(n), made by each layer's
+public `Complex` outside the timing, at n = 16, ..., 256;
+is_acyclic_graph runs on that subdivision with the open stars of the
+original vertices removed, also made outside the timing.  Each rung is
 timed as the minimum of three repeats; the untimed probe counts the
 oracle calls, the simplices or the certificate's moves and bytes.
 certificate_json times the certificate round trip on the contract_loop
@@ -30,7 +33,8 @@ The rows for layer "slope" time the package in src/; the rows for layer
 code kept in tests/slope_reference.py, on the rungs up to REFERENCE_MAX.
 The rows for layer "simplicial_reference" time the former simplicial
 layer kept in tests/simplicial_reference.py on the same complexes:
-`barycentric`, `remove_open_stars`, and "build_closed", which is
+`barycentric`, `remove_open_stars`, `is_connected`, `is_acyclic_graph`
+(breadth-first search there, union-find in src/), and "build_closed", which is
 `farey.build(n)` with its simplices closed under faces again by that
 layer's `Complex.__init__`, as `farey.build` did before it handed its
 list over as built.  For build and verify_axioms a rung doubles n and
@@ -143,6 +147,11 @@ def _simplicial_rows(layer: str, module):
          lambda c: c.barycentric(), lambda c: _sizes(c.barycentric())),
         (layer, "remove_open_stars", _rungs(SIMPLICIAL_LADDER, subdivided),
          pared, lambda inputs: _sizes(pared(inputs))),
+        (layer, "is_connected", _rungs(SIMPLICIAL_LADDER, built),
+         lambda c: c.is_connected(), lambda c: {**_sizes(c), "connected": c.is_connected()}),
+        (layer, "is_acyclic_graph", _rungs(SIMPLICIAL_LADDER, lambda n: pared(subdivided(n))),
+         lambda c: c.is_acyclic_graph(),
+         lambda c: {**_sizes(c), "acyclic": c.is_acyclic_graph()}),
     ]
     if module is simplicial_reference:
         rows.append((layer, "build_closed", _rungs(SIMPLICIAL_LADDER), built,

@@ -10,13 +10,11 @@ rung, n being the ball's vertex count.  The second has the balls
 perfbench's short_words workload: 418, 1,570, 5,026 and 18,850
 vertices, about 3.5x per rung.  A record's counters name its radius and
 max_power.  is_tree, to_dot and quotient run on a ball built outside
-the timing.  Each rung is timed as the minimum of three
-repeats; the untimed probe counts the calls of
-`amalgam.check_syllables` (the one syllable check, run by every
-`NormalForm`) by wrapping it under each module name it is looked up
-by: goeritz.amalgam's, and goeritz.tree's at earlier commits whose
-vertex classes imported it.  The rows for layer "tree" time the
-package in src/.  Timer, record format and `--parent` are those of
+the timing.  Each rung is timed as the minimum of three repeats; the
+untimed probe counts the calls of `amalgam.check_syllables` (the one
+syllable check, run by every `NormalForm`, which looks it up in
+goeritz.amalgam) by wrapping it there.  The rows for layer "tree" time
+the package in src/.  Timer, record format and `--parent` are those of
 benchmarks/ladder.py.
 """
 
@@ -54,14 +52,11 @@ def _probe(run):
             calls += 1
             return check(rep)
 
-        modules = [m for m in (amalgam, tree) if getattr(m, "check_syllables", None) is check]
-        for m in modules:
-            m.check_syllables = counted
+        amalgam.check_syllables = counted
         try:
             run(b)
         finally:
-            for m in modules:
-                m.check_syllables = check
+            amalgam.check_syllables = check
         return {"radius": b.radius, "max_power": b.max_power,
                 "vertices": len(b.vertices), "edges": len(b.edges), "check_syllables": calls}
     return counters

@@ -125,9 +125,9 @@ class HomotopyCertificate:
         return {"moves": moves, "final": [str(v) for v in self.final]}
 
     def to_json(self) -> str:
-        """The text of json.dumps(self.to_json_dict(), indent=2), laid out
-        here: strings go through json's C string encoder, an int position
-        through int.__repr__, any other position through json.dumps."""
+        """The text of json.dumps(self.to_json_dict(), indent=2), laid out here:
+        strings via json's C encoder, int positions via int.__repr__, others via
+        json.dumps.  ValueError for a label that would read back as another."""
         quote = encode_basestring_ascii
         moves = []
         for m in self.moves:
@@ -147,7 +147,14 @@ class HomotopyCertificate:
                     f'{quote(str(m.insert))}\n    }}'
                 )
         final = [quote(str(v)) for v in self.final]
-        return f'{{\n  "moves": {_json_array(moves)},\n  "final": {_json_array(final)}\n}}'
+        text = f'{{\n  "moves": {_json_array(moves)},\n  "final": {_json_array(final)}\n}}'
+        if "\\ud" in text:  # a surrogate or an astral character: look closer
+            labels = [v for m in self.moves
+                      for v in ((m.old, m.new) if isinstance(m, Relabel) else (m.insert,))]
+            for label in map(str, labels + list(self.final)):
+                if json.loads(quote(label)) != label:  # a split surrogate pair, joined
+                    raise ValueError(f"label {quote(label)} holds a split surrogate pair")
+        return text
 
     @classmethod
     def from_json_dict(

@@ -315,35 +315,29 @@ def verify_axioms(
     return _check_axioms(build(n, window), n, samples, seed, window)
 
 
-def _check_axioms(
-    complex_: Complex, n: int, samples: int, seed: int, window: tuple = (0, 1)
-) -> AxiomReport:
-    """verify_axioms on an already built complex, build(n, window)."""
+def _check_axioms(complex_: Complex, n: int, samples: int, seed: int, window: tuple) -> AxiomReport:
+    """verify_axioms on an already built complex, build(n, window): its
+    label table holds only vertices, sorted, so ids sort as their slopes."""
     report = AxiomReport(n, samples)
-    verts = sorted(complex_.vertices())
-    for u in verts:
+    labels = complex_._labels
+    for u in labels:
         if remoteness(u) == 0 and not adjacent(u, BASE):
             report.violations.append(f"remoteness 0 at {u} outside the base star")
-    positive = [u for u in verts if remoteness(u) > 0]
+    positive = [i for i, u in enumerate(labels) if remoteness(u) > 0]
     if samples > 0 and not positive:
         raise ValueError(
             f"build({n}, window=({window[0]}, {window[1]})) has no finite slope to sample"
         )
-    near: dict[Slope, list[Slope]] = {u: [u] for u in verts}
-    labels = complex_._labels
-    for s in complex_._simplices:
-        if len(s) == 2:
-            u, w = labels[s[0]], labels[s[1]]
-            near[u].append(w)
-            near[w].append(u)
-    stars: dict[Slope, list[Slope]] = {}  # each sampled star, sorted on its first draw
+    neighbours, _ = complex_._graph()
+    stars: dict[int, list[int]] = {}  # each sampled star, sorted on its first draw
     rng = random.Random(seed)
     for _ in range(samples):
-        v = rng.choice(positive)
-        star = stars.get(v)
+        i = rng.choice(positive)
+        star = stars.get(i)
         if star is None:
-            star = stars[v] = sorted(near[v])
-        xs = tuple(rng.choice(star) for _ in range(rng.randint(0, 3)))
+            star = stars[i] = sorted(neighbours[i] | {i})
+        v = labels[i]
+        xs = tuple(labels[rng.choice(star)] for _ in range(rng.randint(0, 3)))
         try:
             value, witness = blocking(xs, v)
         except WitnessNotFound as err:

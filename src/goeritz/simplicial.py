@@ -197,8 +197,8 @@ class Complex:
         return v - e + f
 
     def _graph(self) -> tuple[dict[int, set], list[tuple]]:
-        """The neighbour set of every vertex and the edges as pairs, read
-        off the simplex set in one pass."""
+        """The neighbour set of every vertex on an edge and the edges as
+        pairs, read off the simplex set in one pass."""
         neighbours: dict[int, set] = defaultdict(set)
         edges = []
         for s in self._simplices:
@@ -207,37 +207,35 @@ class Complex:
                 neighbours[u].add(w)
                 neighbours[w].add(u)
                 edges.append(s)
-            elif len(s) == 1:
-                neighbours[s[0]]  # an isolated vertex gets an empty set too
         return neighbours, edges
 
-    def _components(self) -> list[set]:
-        neighbours, _ = self._graph()
-        seen: set = set()
-        parts = []
-        for v in neighbours:
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                for w in neighbours[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            parts.append(comp)
+    def _components(self) -> int:
+        """Connected components, counted in one union-find pass (path halving) over ids."""
+        parent = list(range(len(self._labels)))
+        parts = 0
+        for s in self._simplices:
+            if len(s) == 1:
+                parts += 1
+            elif len(s) == 2:
+                p, q = s
+                while p != (up := parent[p]):
+                    parent[p] = p = parent[up]
+                while q != (up := parent[q]):
+                    parent[q] = q = parent[up]
+                if p != q:
+                    parent[q] = p
+                    parts -= 1
         return parts
 
     def is_connected(self) -> bool:
-        return len(self._components()) <= 1
+        return self._components() <= 1
 
     def is_acyclic_graph(self) -> bool:
         """For 1-dimensional complexes: no cycles."""
         v, e, f = self.f_vector()
         if f:
             raise ValueError("acyclicity test requires a 1-dimensional complex")
-        return e + len(self._components()) == v
+        return e + self._components() == v
 
     # -- subdivision ----------------------------------------------------
 

@@ -7,18 +7,67 @@
 # through remoteness() and adjacent() for every comparison, and build()
 # re-sorts its vertex list.  _check_axioms is the former body, which
 # samples from an empty list when the window holds no finite slope.
-# The contract checker and the simplicial layer are the package's.
+# check_blocking_answer is a verbatim copy of goeritz.contract's, so a
+# fault in the package's contract check cannot hide here; the simplicial
+# layer is the package's.
 
 from __future__ import annotations
 
 import random
 from math import gcd
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from goeritz.contract import check_blocking_answer
+from goeritz.contract import Adjacency, Remoteness, Vertex
 from goeritz.farey import AxiomReport, WitnessNotFound
 from goeritz.simplicial import Complex, _from_ids
+
+
+def check_blocking_answer(
+    adjacent: Adjacency,
+    remoteness: Remoteness,
+    x: Sequence[Vertex],
+    v: Vertex,
+    value: int,
+    witness,
+) -> list[str]:
+    """Every clause of the blocking contract (module docstring) that the
+    answer (value, witness) to blocking(x, v) breaks; [] when it keeps
+    them all.  `adjacent` must be reflexive.
+
+    >>> line = lambda u, w: abs(u - w) <= 1
+    >>> check_blocking_answer(line, abs, (1, 3), 2, 0, 1)
+    ['b=0 witness 1 not adjacent to neighbour image 3']
+    """
+    if value < 0:
+        return [f"negative blocking value {value!r}"]
+    if value == 0:
+        w = witness
+        problems = []
+        if not adjacent(w, v):
+            problems.append(f"b=0 witness {w!r} not adjacent to {v!r}")
+        if remoteness(w) >= remoteness(v):
+            problems.append(f"b=0 witness {w!r} does not lower remoteness below {v!r}")
+        for u in x:
+            if not adjacent(u, w):
+                problems.append(f"b=0 witness {w!r} not adjacent to neighbour image {u!r}")
+        return problems
+    try:
+        vp, wp = witness
+    except (TypeError, ValueError):
+        return [f"b>0 witness {witness!r} is not a pair (v', w')"]
+    if vp not in x:
+        # every other clause is about v', so they say nothing here
+        return [f"b>0 witness member {vp!r} is not a neighbour image"]
+    problems = []
+    if remoteness(wp) >= remoteness(vp):
+        problems.append(f"b>0 replacement {wp!r} does not lower remoteness below {vp!r}")
+    for u in x:
+        if adjacent(u, vp) and not adjacent(u, wp):
+            problems.append(f"b>0 replacement {wp!r} misses neighbour {u!r} of {vp!r}")
+    if not adjacent(wp, v):
+        problems.append(f"b>0 replacement {wp!r} not adjacent to active image {v!r}")
+    return problems
 
 
 class Slope(tuple):

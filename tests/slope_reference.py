@@ -8,8 +8,11 @@
 # verbatim copy of farey.Slope as a (q, p) tuple, and Complex is the
 # former simplicial layer of tests/simplicial_reference.py, which closes
 # every simplex under faces, so neither the behaviour nor the timings
-# here move with the package's slope type or simplicial layer.  The
-# oracles (adjacent, remoteness, blocking) are the package's.
+# here move with the package's slope type or simplicial layer.
+# _reflexive and check_blocking_answer are verbatim copies of
+# goeritz.contract's, so a fault in the package's contract check cannot
+# hide here.  The oracles (adjacent, remoteness, blocking) are the
+# package's.
 
 from __future__ import annotations
 
@@ -30,8 +33,6 @@ from goeritz.contract import (
     Remoteness,
     Subdivide,
     Vertex,
-    _reflexive,
-    check_blocking_answer,
 )
 from goeritz.farey import (
     AxiomReport,
@@ -42,6 +43,57 @@ from goeritz.farey import (
     remoteness,
 )
 from simplicial_reference import Complex
+
+
+def _reflexive(adjacent: Adjacency) -> Adjacency:
+    return lambda u, v: u == v or adjacent(u, v)
+
+
+def check_blocking_answer(
+    adjacent: Adjacency,
+    remoteness: Remoteness,
+    x: Sequence[Vertex],
+    v: Vertex,
+    value: int,
+    witness,
+) -> list[str]:
+    """Every clause of the blocking contract (module docstring) that the
+    answer (value, witness) to blocking(x, v) breaks; [] when it keeps
+    them all.  `adjacent` must be reflexive.
+
+    >>> line = lambda u, w: abs(u - w) <= 1
+    >>> check_blocking_answer(line, abs, (1, 3), 2, 0, 1)
+    ['b=0 witness 1 not adjacent to neighbour image 3']
+    """
+    if value < 0:
+        return [f"negative blocking value {value!r}"]
+    if value == 0:
+        w = witness
+        problems = []
+        if not adjacent(w, v):
+            problems.append(f"b=0 witness {w!r} not adjacent to {v!r}")
+        if remoteness(w) >= remoteness(v):
+            problems.append(f"b=0 witness {w!r} does not lower remoteness below {v!r}")
+        for u in x:
+            if not adjacent(u, w):
+                problems.append(f"b=0 witness {w!r} not adjacent to neighbour image {u!r}")
+        return problems
+    try:
+        vp, wp = witness
+    except (TypeError, ValueError):
+        return [f"b>0 witness {witness!r} is not a pair (v', w')"]
+    if vp not in x:
+        # every other clause is about v', so they say nothing here
+        return [f"b>0 witness member {vp!r} is not a neighbour image"]
+    problems = []
+    if remoteness(wp) >= remoteness(vp):
+        problems.append(f"b>0 replacement {wp!r} does not lower remoteness below {vp!r}")
+    for u in x:
+        if adjacent(u, vp) and not adjacent(u, wp):
+            problems.append(f"b>0 replacement {wp!r} misses neighbour {u!r} of {vp!r}")
+    if not adjacent(wp, v):
+        problems.append(f"b>0 replacement {wp!r} not adjacent to active image {v!r}")
+    return problems
 
 
 class Slope(tuple):

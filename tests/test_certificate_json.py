@@ -5,16 +5,21 @@ decode-every-field reader, both kept in tests/certificate_reference.py.
 to_json must give the reference's text byte for byte: on engine
 certificates, on empty move and final lists, on string labels that need
 escaping, and on positions of any JSON type read back by from_json_dict.
+The one exception is a label holding a high surrogate and then a low
+one as two code points: the reference writes it as an astral character
+is written, so json.loads reads back another string, and to_json raises
+ValueError naming the label instead.
 from_json_dict must call decode once per distinct string and build the
 same certificate as decoding every field separately.
 """
 
 import enum
 import json
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import certificate_reference as ref
@@ -106,16 +111,48 @@ LABELS = st.one_of(
     st.sampled_from(["a", '"', "\\", "\U0001f600"]),
     st.text(st.one_of(st.sampled_from(SPECIAL), st.characters()), max_size=8),
 )
+SPLIT_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 MOVES = st.one_of(
     st.builds(Relabel, st.integers(), LABELS, LABELS),
     st.builds(Subdivide, st.integers(), LABELS),
 )
 
 
+def _refusal(label: str) -> str:
+    return f"label {json.dumps(label)} holds a split surrogate pair"
+
+
 @given(st.lists(MOVES, max_size=8), st.lists(LABELS, max_size=8))
+@example([], ["\ud800" + "\udc00"])
 @settings(max_examples=300, deadline=None)
 def test_escaped_labels_match_reference(moves, final):
+    """A label holding a high surrogate and then a low one, which json
+    escapes as it escapes an astral character and json.loads joins into
+    one, is refused with the first such label named; every other
+    certificate round-trips."""
     cert = HomotopyCertificate(moves, final)
+    joined = [s for s in _strings(cert.to_json_dict()) if SPLIT_PAIR.search(s)]
+    if joined:
+        with pytest.raises(ValueError) as err:
+            cert.to_json()
+        assert str(err.value) == _refusal(joined[0])
+    else:
+        assert _round_trip(cert) == cert
+
+
+@pytest.mark.parametrize("label", ["\ud800" + "\udc00", "a\udbff\udfffb", "\\\ud800\udc00"])
+def test_split_surrogate_pairs_are_refused(label):
+    """The first split label in field order (moves, then final) is named."""
+    cert = HomotopyCertificate([Relabel(0, "a", label)], ["\ud800", "\udbff\udfff", label])
+    with pytest.raises(ValueError) as err:
+        cert.to_json()
+    assert str(err.value) == _refusal(label)
+
+
+@pytest.mark.parametrize("label", ["\ud800", "\udc00\ud800", "\\ud800\udc00", '"\\ud800\udc00'])
+def test_lone_or_reversed_surrogates_round_trip(label):
+    """Strings whose text holds an escaped surrogate but no pair json joins."""
+    cert = HomotopyCertificate([Subdivide(0, label)], [label])
     assert _round_trip(cert) == cert
 
 

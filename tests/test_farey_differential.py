@@ -172,6 +172,22 @@ def test_check_axioms_matches_reference(n, window):
             assert new == old
 
 
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("n", [2, 5, 17, 32])
+def test_check_axioms_draws_the_same_pairs_as_reference(monkeypatch, n, window):
+    """A clean report says nothing about which pairs were drawn, so the
+    blocking calls of both sides are recorded and compared in order."""
+    drawn: dict = {farey: [], ref: []}
+    for module in drawn:
+        def recorded(xs, v, calls=drawn[module], blocking=module.blocking):
+            calls.append(_shape((tuple(xs), v)))
+            return blocking(xs, v)
+        monkeypatch.setattr(module, "blocking", recorded)
+    farey._check_axioms(farey.build(n, window), n, 60, n, window)
+    ref._check_axioms(ref.build(n, window), n, 60, n)
+    assert drawn[farey] == drawn[ref] and drawn[farey]
+
+
 @pytest.mark.parametrize("window", [(Fraction(1, 5), Fraction(3, 10)), (0.4, 0.45)])
 def test_check_axioms_on_an_empty_window_raises_where_reference_crashed(window):
     with pytest.raises(IndexError):

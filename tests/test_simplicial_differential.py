@@ -97,7 +97,10 @@ def _outcome(call):
     except ValueError as err:
         return ValueError, str(err)
     if isinstance(result, (Complex, ref.Complex)):
-        return result.simplices(), result.to_json()
+        # a star, link or full subcomplex keeps its parent's label table,
+        # so the structure tests also run on tables holding non-vertices
+        return (result.simplices(), result.to_json(), result.is_connected(),
+                _outcome(result.is_acyclic_graph))
     return result
 
 
@@ -132,6 +135,37 @@ def test_every_query_matches_reference_on_complex_and_subdivision(raw, data):
     new, old = Complex(raw), ref.Complex(raw)
     _assert_same_queries(new, old, data)
     _assert_same_queries(new.barycentric(), old.barycentric(), data)
+
+
+@pytest.mark.parametrize("raw", [
+    [],
+    [[1]],
+    [[1], [2], ["a"]],
+    [[1, 2], [9]],
+    [[1, 2], [2, 9], [9, 1]],
+    [[1, 2, 9]],
+    [[1, 2], [10, "a"], [9]],
+    [[1, 2], [2, 9], [9, 10], [10, "a"], ["10"]],
+    [[1, 2, 9], [9, 10], [10, "a"], ["a", 1]],
+])
+def test_connectivity_matches_reference_on_subcomplexes(raw):
+    """is_connected and is_acyclic_graph on the empty complex, isolated
+    vertices, cycles and trees, and on every star, link, full subcomplex
+    and pared subdivision of them, whose label tables hold non-vertices."""
+    new, old = Complex(raw), ref.Complex(raw)
+    new_sd, old_sd = new.barycentric(), old.barycentric()
+    pairs = [(new, old), (new_sd, old_sd),
+             (remove_open_stars(new_sd, new.vertices()),
+              ref.remove_open_stars(old_sd, old.vertices()))]
+    for v in sorted(old.vertices(), key=repr):
+        pairs += [(new.star(v), old.star(v)), (new.link(v), old.link(v)),
+                  (new.full_subcomplex([v, 9, "a"]), old.full_subcomplex([v, 9, "a"]))]
+    for a, b in pairs:
+        assert a.simplices() == b.simplices()
+        assert a.is_connected() == b.is_connected()
+        assert _outcome(a.is_acyclic_graph) == _outcome(b.is_acyclic_graph)
+    if raw:
+        assert any(len(a._labels) > len(a.vertices()) for a, _ in pairs)
 
 
 def _former_check_axioms(complex_, n, samples, seed):
@@ -179,5 +213,5 @@ def test_check_axioms_reports_match_the_label_reading(window):
         built = farey.build(n, window)
         old = ref.Complex(built.simplices())
         for seed in (n, n + 100):
-            assert farey._check_axioms(built, n, 60, seed) == _former_check_axioms(
+            assert farey._check_axioms(built, n, 60, seed, window) == _former_check_axioms(
                 old, n, 60, seed), (n, seed)
