@@ -1,8 +1,8 @@
 """Size ladders for the slope fixture: `contract.contract_loop`, the JSON
-round trip of its certificates, `farey.build`, `farey.verify_axioms`,
-the farey oracles, and the simplicial layer's `barycentric`,
-`remove_open_stars`, `is_connected` and `is_acyclic_graph` on
-`farey.build(n)`, time against size.
+round trip of its certificates, `contract.validate`, `farey.build`,
+`farey.verify_axioms`, the farey oracles, and the simplicial layer's
+`barycentric`, `remove_open_stars`, `is_connected` and `is_acyclic_graph`
+on `farey.build(n)`, time against size.
 
     python benchmarks/slope.py [--out BENCH_slope.json] [--parent PARENT.json]
 
@@ -21,6 +21,9 @@ certificate_json times the certificate round trip on the contract_loop
 certificates of the same loops: `to_json`, then `json.loads`, then
 `HomotopyCertificate.from_json_dict(..., farey.parse_slope)` (the
 certificate is made outside the timing).
+validate replays the same certificates against their loops with
+`farey.adjacent` (loop and certificate made outside the timing); its
+probe counts the moves and the adjacency calls.
 oracles times a fixed seeded batch of ORACLE_BATCH slopes p/q with
 denominator q = 2^8, 2^10, ..., 2^20 and odd p: per slope v one
 `parents(v)`, three `adjacent` calls (v and a parent, the two parents,
@@ -192,9 +195,24 @@ def _oracle_rows(layer: str, module):
              counters)]
 
 
-def _certificate(positions: int) -> contract.HomotopyCertificate:
-    return contract.contract_loop(farey.adjacent, farey.remoteness, farey.blocking,
-                                  _loop(positions), farey.BASE)
+def _certified(positions: int) -> tuple:
+    loop = _loop(positions)
+    return loop, contract.contract_loop(farey.adjacent, farey.remoteness, farey.blocking,
+                                        loop, farey.BASE)
+
+
+def _validate(certified: tuple, adjacent=farey.adjacent) -> contract.ValidationReport:
+    loop, cert = certified
+    return contract.validate(adjacent, cert, loop, farey.BASE)
+
+
+def _validate_counters(certified: tuple) -> dict:
+    calls: Counter = Counter()
+    report = _validate(certified, _counted(calls, "adjacent", farey.adjacent))
+    assert report.ok, report.reason
+    moves = len(certified[1].moves)
+    return {"positions": len(certified[0]), "moves": moves, "oracle_calls": dict(calls),
+            "adjacent_calls_per_move": calls["adjacent"] / max(moves, 1)}
 
 
 def _round_trip(cert: contract.HomotopyCertificate) -> contract.HomotopyCertificate:
@@ -210,8 +228,9 @@ def _certificate_counters(cert: contract.HomotopyCertificate) -> dict:
 
 def _rows():
     yield from _slope_rows("slope", contract.contract_loop, farey.build, farey.verify_axioms, {})
-    yield ("slope", "certificate_json", _rungs(LOOP_LADDER, _certificate), _round_trip,
-           _certificate_counters)
+    yield ("slope", "certificate_json", _rungs(LOOP_LADDER, lambda n: _certified(n)[1]),
+           _round_trip, _certificate_counters)
+    yield "slope", "validate", _rungs(LOOP_LADDER, _certified), _validate, _validate_counters
     yield from _oracle_rows("slope", farey)
     yield from _simplicial_rows("slope", simplicial)
     yield from _slope_rows("slope_reference", slope_reference.contract_loop,

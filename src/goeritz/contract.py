@@ -127,7 +127,8 @@ class HomotopyCertificate:
     def to_json(self) -> str:
         """The text of json.dumps(self.to_json_dict(), indent=2), laid out here:
         strings via json's C encoder, int positions via int.__repr__, others via
-        json.dumps.  ValueError for a label that would read back as another."""
+        json.dumps.  ValueError for a label or string position that would read
+        back as another."""
         quote = encode_basestring_ascii
         moves = []
         for m in self.moves:
@@ -149,11 +150,15 @@ class HomotopyCertificate:
         final = [quote(str(v)) for v in self.final]
         text = f'{{\n  "moves": {_json_array(moves)},\n  "final": {_json_array(final)}\n}}'
         if "\\ud" in text:  # a surrogate or an astral character: look closer
-            labels = [v for m in self.moves
-                      for v in ((m.old, m.new) if isinstance(m, Relabel) else (m.insert,))]
-            for label in map(str, labels + list(self.final)):
-                if json.loads(quote(label)) != label:  # a split surrogate pair, joined
-                    raise ValueError(f"label {quote(label)} holds a split surrogate pair")
+            fields = []  # (what, string) in field order
+            for m in self.moves:
+                if isinstance(m.pos, str):  # not others: a NaN position never equals itself
+                    fields.append(("position", m.pos))
+                labels = (m.old, m.new) if isinstance(m, Relabel) else (m.insert,)
+                fields += [("label", str(v)) for v in labels]
+            for what, s in fields + [("label", str(v)) for v in self.final]:
+                if json.loads(quote(s)) != s:  # a split surrogate pair, joined
+                    raise ValueError(f"{what} {quote(s)} holds a split surrogate pair")
         return text
 
     @classmethod
@@ -199,10 +204,6 @@ def _json_array(items: list[str]) -> str:
 
 def max_remoteness(remoteness: Remoteness, loop: Iterable[Vertex]) -> int:
     return max(remoteness(v) for v in loop)
-
-
-def _reflexive(adjacent: Adjacency) -> Adjacency:
-    return lambda u, v: u == v or adjacent(u, v)
 
 
 def check_blocking_answer(
@@ -266,7 +267,6 @@ def contract_loop(
     move budget runs out, OracleContractViolation when an oracle answer
     contradicts its contract.
     """
-    adj = _reflexive(adjacent)
     cur = list(loop)
     if not cur:
         raise ValueError("loop must be nonempty")
@@ -274,14 +274,14 @@ def contract_loop(
         raise ValueError("loop must start at the base vertex")
     m = len(cur)
     for idx, v in enumerate(cur):
-        if not adj(v, cur[(idx + 1) % m]):
+        if not adjacent(v, cur[(idx + 1) % m]):
             raise ValueError(f"loop images at {idx}, {(idx + 1) % m} are not adjacent")
 
     def remote_checked(v: Vertex) -> int:
         r = remoteness(v)
         if r < 0:
             raise OracleContractViolation(f"negative remoteness {r} at {v!r}")
-        if r == 0 and not adj(v, base):
+        if r == 0 and not adjacent(v, base):
             raise OracleContractViolation(
                 f"remoteness 0 at {v!r} which is not adjacent to the base"
             )
@@ -298,7 +298,7 @@ def contract_loop(
     # kept per position: oracles are pure, so only an image that enters
     # the loop needs an oracle call
     rs = [remote_checked(v) for v in cur]
-    off_star = sum(not adj(v, base) for v in cur)
+    off_star = sum(not adjacent(v, base) for v in cur)
     n, count, front = level()
     moves: list = []
     prev_measure: tuple[int, int, int] | None = None
@@ -319,27 +319,25 @@ def contract_loop(
                 f"fuel exhausted with {m} positions at max remoteness {n}"
             )
         fuel -= 1
-        problems = check_blocking_answer(adj, remote_known, x_pair, v, value, witness)
+        problems = check_blocking_answer(adjacent, remote_known, x_pair, v, value, witness)
         if problems:
             raise OracleContractViolation(problems[0])
         if value == 0:
             moves.append(Relabel(front, v, witness))
             cur[front] = witness
             rs[front] = r = remote_checked(witness)
-            off_star += (not adj(witness, base)) - (not adj(v, base))
+            off_star += (not adjacent(witness, base)) - (not adjacent(v, base))
             count -= 1
         else:
             vp, wp = witness
-            sides = [j for j in sorted({left_i, right_i}) if cur[j] == vp]
-            j = sides[0]
-            if j == right_i:
+            if min(j for j in (left_i, right_i) if cur[j] == vp) == right_i:
                 insert_at = front + 1  # slot between front and its right neighbour
             else:
                 insert_at = front if front > 0 else m  # slot between the left neighbour and front
             moves.append(Subdivide(insert_at, wp))
             cur.insert(insert_at, wp)
             rs.insert(insert_at, r := remote_checked(wp))
-            off_star += not adj(wp, base)
+            off_star += not adjacent(wp, base)
             front += insert_at <= front
         if r >= n or not count:  # level used up, or an impure oracle's repeat answer
             n, count, front = level()
@@ -368,14 +366,24 @@ def validate(
 ) -> ValidationReport:
     """Replay a certificate against the initial loop.
 
-    Each relabel must stay adjacent to the old image and to both
-    neighbouring images; each subdivision must be adjacent to both
-    flanking images; the replayed loop must equal the recorded final
-    loop, which must lie in the star of the base vertex.  An image that
-    makes the adjacency oracle raise fails its move (or the final check).
+    Consecutive images of the initial loop must be adjacent; each
+    relabel must stay adjacent to the old image and to both neighbouring
+    images; each subdivision must be adjacent to both flanking images;
+    the replayed loop must equal the recorded final loop, which must lie
+    in the star of the base vertex.  An image that makes the adjacency
+    oracle raise fails its move (or the loop or final check).
     """
-    adj = _reflexive(adjacent)
     cur = list(loop)
+    m = len(cur)
+    for idx, v in enumerate(cur):
+        j = (idx + 1) % m
+        try:
+            ok = adjacent(v, cur[j])
+        except Exception as exc:  # the input loop may hold a non-vertex
+            reason = f"adjacency oracle raised {type(exc).__name__} on loop images at {idx}, {j}"
+            return ValidationReport(False, None, reason)
+        if not ok:
+            return ValidationReport(False, None, f"loop images at {idx}, {j} are not adjacent")
     for idx, move in enumerate(certificate.moves):
         m = len(cur)
         if not isinstance(move, (Relabel, Subdivide)):
@@ -400,7 +408,7 @@ def validate(
             others = (cur[move.pos - 1], cur[move.pos % m])
         for u in others:
             try:
-                ok = adj(image, u)
+                ok = adjacent(image, u)
             except Exception as exc:  # the image comes from the certificate, maybe not a vertex
                 reason = f"adjacency oracle raised {type(exc).__name__} on {move!r}"
                 return ValidationReport(False, idx, reason)
@@ -414,7 +422,7 @@ def validate(
         return ValidationReport(False, None, "replayed loop differs from recorded final loop")
     for v in cur:
         try:
-            ok = adj(v, base)
+            ok = adjacent(v, base)
         except Exception as exc:  # the input loop may hold a non-vertex
             reason = f"adjacency oracle raised {type(exc).__name__} on final image {v!r}"
             return ValidationReport(False, None, reason)

@@ -9,10 +9,11 @@
 # former simplicial layer of tests/simplicial_reference.py, which closes
 # every simplex under faces, so neither the behaviour nor the timings
 # here move with the package's slope type or simplicial layer.
-# _reflexive and check_blocking_answer are verbatim copies of
-# goeritz.contract's, so a fault in the package's contract check cannot
-# hide here.  The oracles (adjacent, remoteness, blocking) are the
-# package's.
+# check_blocking_answer is a verbatim copy of goeritz.contract's, so a
+# fault in the package's contract check cannot hide here; _reflexive is
+# the wrapper goeritz.contract once put round every adjacency oracle, so
+# the two agree on every oracle that keeps the reflexive contract.  The
+# oracles (adjacent, remoteness, blocking) are the package's.
 
 from __future__ import annotations
 

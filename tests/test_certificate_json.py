@@ -5,10 +5,11 @@ decode-every-field reader, both kept in tests/certificate_reference.py.
 to_json must give the reference's text byte for byte: on engine
 certificates, on empty move and final lists, on string labels that need
 escaping, and on positions of any JSON type read back by from_json_dict.
-The one exception is a label holding a high surrogate and then a low
-one as two code points: the reference writes it as an astral character
-is written, so json.loads reads back another string, and to_json raises
-ValueError naming the label instead.
+The one exception is a label or string position holding a high
+surrogate and then a low one as two code points: the reference writes it
+as an astral character is written, so json.loads reads back another
+string, and to_json raises ValueError naming the label or position
+instead.
 from_json_dict must call decode once per distinct string and build the
 same certificate as decoding every field separately.
 """
@@ -147,6 +148,24 @@ def test_split_surrogate_pairs_are_refused(label):
     with pytest.raises(ValueError) as err:
         cert.to_json()
     assert str(err.value) == _refusal(label)
+
+
+SPLIT = "\ud800" + "\udc00"
+
+
+@pytest.mark.parametrize(
+    "moves, refusal",
+    [
+        ([Subdivide(SPLIT, "a")], f"position {json.dumps(SPLIT)}"),
+        ([Relabel("x" + SPLIT, "a", SPLIT)], f"position {json.dumps('x' + SPLIT)}"),
+        ([Relabel(0, "a", SPLIT), Subdivide("x" + SPLIT, "b")], f"label {json.dumps(SPLIT)}"),
+    ],
+)
+def test_string_positions_holding_a_split_surrogate_pair_are_refused(moves, refusal):
+    """A string position is checked as a label is, in field order."""
+    with pytest.raises(ValueError) as err:
+        HomotopyCertificate(moves, [SPLIT]).to_json()
+    assert str(err.value) == f"{refusal} holds a split surrogate pair"
 
 
 @pytest.mark.parametrize("label", ["\ud800", "\udc00\ud800", "\\ud800\udc00", '"\\ud800\udc00'])

@@ -78,6 +78,39 @@ def test_max_remoteness():
     assert max_remoteness(line_remoteness, [0, 3, 1]) == 3
 
 
+# --- the reflexive-adjacency contract ---------------------------------------
+#
+# The engine takes adjacent(u, u) as the oracle states it: an oracle
+# that is not reflexive breaks the contract and is refused, not repaired.
+
+
+def strict_line_adjacent(u, w):
+    return abs(u - w) == 1
+
+
+@pytest.mark.parametrize(
+    "loop, error, message",
+    [
+        ([0], ValueError, "loop images at 0, 0 are not adjacent"),
+        ([0, 1, 2, 1], OracleContractViolation,
+         "remoteness 0 at 0 which is not adjacent to the base"),
+    ],
+)
+def test_non_reflexive_adjacency_is_refused(loop, error, message):
+    with pytest.raises(error) as err:
+        contract_loop(strict_line_adjacent, line_remoteness, line_blocking, loop, 0)
+    assert str(err.value) == message
+
+
+def test_non_reflexive_adjacency_fails_validate():
+    loop = [0, 1, 2, 1]
+    cert = contract_loop(line_adjacent, line_remoteness, line_blocking, loop, 0)
+    assert validate(line_adjacent, cert, loop, 0).ok
+    report = validate(strict_line_adjacent, cert, loop, 0)
+    assert (report.ok, report.failed_move) == (False, 0)
+    assert report.reason == "relabel image 1 not adjacent to 1"
+
+
 # --- pentagon fixture -------------------------------------------------------
 #
 # A hand-built complex where honest blocking really does return a
@@ -373,6 +406,51 @@ def test_validate_reports_input_images_the_oracle_rejects():
     assert report.reason == "adjacency oracle raised AttributeError on final image 'junk'"
 
 
+def test_validate_refuses_an_input_that_is_not_a_loop():
+    # infinity and 5/2 are not adjacent; the relabel alone is a valid move
+    inf, half5, two = farey.INFINITY, farey.Slope(5, 2), farey.Slope(2, 1)
+    cert = HomotopyCertificate([Relabel(1, half5, two)], [inf, two])
+    report = validate(farey.adjacent, cert, [inf, half5], farey.BASE)
+    assert (report.ok, report.failed_move) == (False, None)
+    assert report.reason == "loop images at 0, 1 are not adjacent"
+    with pytest.raises(ValueError, match="loop images at 0, 1 are not adjacent"):
+        contract_loop(farey.adjacent, farey.remoteness, farey.blocking, [inf, half5], farey.BASE)
+
+
+def test_validate_reports_input_pairs_the_oracle_rejects():
+    loop = [farey.BASE, "junk"]
+    report = validate(farey.adjacent, HomotopyCertificate([], loop), loop, farey.BASE)
+    assert (report.ok, report.failed_move) == (False, None)
+    assert report.reason == "adjacency oracle raised AttributeError on loop images at 0, 1"
+
+
+STAR_LOOP = [farey.BASE, farey.Slope(0, 1), farey.Slope(1, 1)]
+
+
+@pytest.mark.parametrize(
+    "move, reason",
+    [
+        ("relabel", "unknown move 'relabel'"),
+        (Relabel(3, farey.BASE, farey.BASE), "relabel position 3 out of range"),
+        (Relabel(-1, farey.BASE, farey.BASE), "relabel position -1 out of range"),
+        (Subdivide(0, farey.Slope(1, 2)), "subdivide position 0 out of range"),
+        (Subdivide(4, farey.Slope(1, 2)), "subdivide position 4 out of range"),
+    ],
+)
+def test_validate_reports_each_refused_move(move, reason):
+    cert = HomotopyCertificate([move], STAR_LOOP)
+    report = validate(farey.adjacent, cert, STAR_LOOP, farey.BASE)
+    assert not report
+    assert (report.ok, report.failed_move, report.reason) == (False, 0, reason)
+
+
+def test_validate_reports_a_final_image_outside_the_base_star():
+    loop = [farey.INFINITY, farey.Slope(0, 1), farey.Slope(1, 2), farey.Slope(1, 1)]
+    report = validate(farey.adjacent, HomotopyCertificate([], loop), loop, farey.BASE)
+    assert (report.ok, report.failed_move) == (False, None)
+    assert report.reason == f"final image {farey.Slope(1, 2)!r} outside the base star"
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -390,3 +468,10 @@ def test_validate_reports_input_images_the_oracle_rejects():
 def test_certificate_json_with_missing_fields_raises_value_error(data):
     with pytest.raises(ValueError):
         HomotopyCertificate.from_json_dict(data, decode=farey.parse_slope)
+
+
+def test_certificate_json_with_an_unknown_move_type_raises_value_error():
+    data = {"moves": [{"type": "rotate", "pos": 0}], "final": []}
+    with pytest.raises(ValueError) as err:
+        HomotopyCertificate.from_json_dict(data, decode=farey.parse_slope)
+    assert str(err.value) == "unknown move type 'rotate'"

@@ -269,6 +269,20 @@ def test_level_queue_inserts_left_of_front():
     assert cert.moves[:2] == (contract.Subdivide(3, "1c"), contract.Relabel(4, "2", "1d"))
 
 
+def test_level_queue_inserts_left_when_both_neighbours_offend():
+    # front is "2" at 3 with "2p" on both sides; the contract allows a
+    # b > 0 answer there, and the lower index, the left side, takes "1c"
+    adjacent, remoteness, blocking = RAISED
+
+    def both_sides(x_members, v):
+        if x_members == ("2p", "2p"):
+            return 4, ("2p", "1c")
+        return blocking(x_members, v)
+
+    cert = _both((adjacent, remoteness, both_sides), ["0", "1c", "2p", "2", "2p", "1c"])
+    assert cert.moves[:2] == (contract.Subdivide(3, "1c"), contract.Relabel(4, "2", "1c"))
+
+
 def test_level_queue_appends_when_front_is_zero():
     # the base "B" itself has the top remoteness, so front is 0; the
     # offending neighbour "L" is on its left, so "W" is appended at the
