@@ -8,7 +8,10 @@ letters, timed as the minimum of five repeats.  The rows for layer
 "amalgam" time the package in src/: `normal_form` of the word,
 `inv_nf` of its normal form, and `mul_nf` of its normal form times that
 inverse, which cancels every syllable; the normal forms of the last two
-are made before the timing.  The rows for layer
+are made before the timing.  The row "mul_nf/partial" times `mul_nf` of
+the normal forms of u.w and w^-1.v, three seeded random words of n/3
+letters each, where only the syllables of w cancel at the junction.
+The rows for layer
 "amalgam_reference" time the former quadratic rewriter kept in
 tests/amalgam_reference.py, on the rungs up to 4k only.  Timer, record
 format and `--parent` are those of benchmarks/ladder.py.
@@ -47,6 +50,12 @@ def _product_rungs(family: str):
     return ((n, (nf, amalgam.inv_nf(nf))) for n, nf in _nf_rungs(family))
 
 
+def _partial_rungs():
+    for n in LADDER:
+        u, w, v = (amalgam.random_word(random.Random(SEED + n + i), n // 3) for i in (1, 2, 3))
+        yield n, (amalgam.normal_form(u + w), amalgam.normal_form(amalgam.invert_word(w) + v))
+
+
 def _rows():
     for layer, func, top in (("amalgam", amalgam.normal_form, math.inf),
                              ("amalgam_reference", amalgam_reference.normal_form, REFERENCE_MAX)):
@@ -56,6 +65,7 @@ def _rows():
         yield "amalgam", f"inv_nf/{family}", _nf_rungs(family), amalgam.inv_nf, None
         yield ("amalgam", f"mul_nf/{family}", _product_rungs(family),
                lambda pair: amalgam.mul_nf(*pair), None)
+    yield "amalgam", "mul_nf/partial", _partial_rungs(), lambda pair: amalgam.mul_nf(*pair), None
 
 
 if __name__ == "__main__":

@@ -17,21 +17,30 @@ the c_i syllables and h the tail.  A syllable is a plain (side, power)
 tuple: ("P", k) stands for b^k with k != 0 and ("Q", m) for d^m with m
 in {1, 2}; check_syllables is the one place that checks this shape.
 
-Words are rewritten left to right: the element so far is multiplied on
-the right by one stabilizer factor per letter.  The tail already sits
-at the right end, so the factor joins it inside its own stabilizer by
-the exchange rules (t and a are central)
+Words are rewritten in two passes.  The tail only commutes through
+the factors (t and a are central)
 
     t^a g^c . b^k = b^k . t^(a+ck) g^c
     g^c a^e . d^m = d^((-1)^c m) . g^c a^e
 
-the product merges with the last syllable when that lies on the same
-side, and it splits again into a transversal power (the new last
-syllable, if nontrivial) and a new tail.  Nothing is pushed through the
-syllables, so each letter costs O(1) and a word of n letters O(n).
-Products and inverses of normal forms run the same loop over syllables.
+so normal_form first moves every g to the right end with string
+operations: split at the g's, the segments after an odd number of g's
+are joined, have d and D swapped by one str.translate and are split
+back into place; the a bit is the parity of their b and B letters, the
+g bit that of the g's.  One small loop then merges the letters left in
+b, B, d, D into syllables left to right, with no tail state: a letter
+of the side of the last syllable merges with it, and a merge to the
+trivial power uncovers the syllable before it.  mul_nf conjugates the
+second operand's syllables by the first one's tail in the same way,
+cancels across the junction by index and joins two tuple slices;
+inv_nf is one comprehension.  All three are linear.
+
 The alternating shape survives every step, so equality of group
-elements is literal equality of normal forms.
+elements is literal equality of normal forms.  Results are therefore
+built through the slot descriptors without running check_syllables
+again; the public NormalForm constructor still checks its input.
+Syllables are shared: each letter's syllable, each triple syllable and
+each pair syllable with |power| <= 32 is one prebuilt tuple.
 
 Input words use one character per generator: b/B for the pair-side
 generator and its inverse, g for the common involution, d/D for the
@@ -162,56 +171,56 @@ class NormalForm:
 IDENTITY_NF = NormalForm()
 
 
-# the stabilizer factor of each letter as (side, power, a bit, g bit):
-# b^power t^a g^g on the pair side "P", d^power g^g a^a on the triple side "Q"
-_LETTER_FACTOR = {
-    "b": ("P", 1, 0, 0),
-    "B": ("P", -1, 0, 0),
-    "g": ("P", 0, 0, 1),
-    "d": ("Q", 1, 0, 0),
-    "D": ("Q", 2, 0, 0),
-}
-
-
 # the edge-stabilizer element g^g a^a as _TAIL[g][a], built once
 _TAIL = ((EDGE_IDENTITY, EDGE_A), (EDGE_G, EDGE_GA))
 
+# shared syllables: every triple syllable, and the pair syllables a merge
+# most often makes; a syllable of each letter is one of them
+_PAIR = {k: ("P", k) for k in range(-32, 33) if k}
+_TRIPLE = (None, ("Q", 1), ("Q", 2))
+_LETTER_SYLLABLE = {"b": _PAIR[1], "B": _PAIR[-1], "d": _TRIPLE[1], "D": _TRIPLE[2]}
+_SWAP_D = str.maketrans("dD", "Dd")
 
-def _multiply(
-    syllables: list[tuple[str, int]], g: int, a: int, factors: Iterable[tuple]
-) -> NormalForm:
-    # right-multiply the element syllables . g^g a^a by each factor in
-    # turn; the list of syllables is consumed.  Its last syllable is held
-    # in (side_k, k), side_k "" when there is none, and joins the list
-    # only when a syllable of the other side comes after it.
-    side_k, k = syllables.pop() if syllables else ("", 0)
-    for side, power, a_bit, g_bit in factors:
-        # the factor joins the tail inside its own stabilizer
-        if side == "P":
-            # t^a g^c . b^k = b^k t^(a+ck) g^c, and power & g is ck mod 2
-            a ^= a_bit ^ (power & g)
+_set_syllables = NormalForm.syllables.__set__
+_set_tail = NormalForm.tail.__set__
+
+
+def _trusted(syllables: tuple[tuple[str, int], ...], tail: EdgeStabilizer) -> NormalForm:
+    # a NormalForm whose syllables alternate by construction, set through
+    # the slot descriptors so that check_syllables does not run again
+    nf = object.__new__(NormalForm)
+    _set_syllables(nf, syllables)
+    _set_tail(nf, tail)
+    return nf
+
+
+def _pair_parity(syllables: tuple[tuple[str, int], ...]) -> int:
+    return sum(k for side, k in syllables if side == "P") & 1
+
+
+def _merge(factors: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """The alternating syllables of a product of factors, left to right.
+
+    Every factor must be reduced, ("P", k) with k != 0 or ("Q", m) with
+    m in {1, 2}: a factor ("Q", 3) or ("P", 0) would be kept as a
+    syllable.  A factor that merges with nothing is kept as is.
+    """
+    syllables: list[tuple[str, int]] = []
+    for factor in factors:
+        if syllables and syllables[-1][0] == factor[0]:
+            # it merges with the last syllable, which vanishes if the
+            # power becomes trivial
+            side, k = syllables.pop()
+            k += factor[1]
+            if side == "Q":
+                k %= 3
+                if k:
+                    syllables.append(_TRIPLE[k])
+            elif k:
+                syllables.append(_PAIR.get(k) or ("P", k))
         else:
-            a ^= a_bit
-            # g^c a^e . d^m = d^-m g^c a^e, and d^3 = 1
-            power = (-power if g else power) % 3
-        g ^= g_bit
-        if not power:
-            continue
-        if side != side_k:
-            if side_k:
-                syllables.append((side_k, k))
-            side_k, k = side, power
-            continue
-        # the transversal part merges with the held syllable
-        k += power
-        if side == "Q":
-            k %= 3
-        if not k:
-            # it cancels, and the syllable before it is held instead
-            side_k, k = syllables.pop() if syllables else ("", 0)
-    if side_k:
-        syllables.append((side_k, k))
-    return NormalForm(tuple(syllables), _TAIL[g][a])
+            syllables.append(factor)
+    return tuple(syllables)
 
 
 def normal_form(word: str) -> NormalForm:
@@ -222,21 +231,62 @@ def normal_form(word: str) -> NormalForm:
     >>> normal_form("gg").is_identity()
     True
     """
-    return _multiply([], 0, 0, map(_LETTER_FACTOR.__getitem__, parse(word)))
+    # every g moves to the right end: the segments after an odd number
+    # of g's are conjugated by g, which swaps d and D and leaves one t
+    # per b or B behind
+    parts = parse(word).split("g")
+    a = 0
+    if len(parts) > 1:
+        odd = "g".join(parts[1::2])
+        a = (odd.count("b") + odd.count("B")) & 1
+        parts[1::2] = odd.translate(_SWAP_D).split("g")
+    syllables = _merge(map(_LETTER_SYLLABLE.__getitem__, "".join(parts)))
+    return _trusted(syllables, _TAIL[(len(parts) - 1) & 1][a])
 
 
 def mul_nf(u: NormalForm, v: NormalForm) -> NormalForm:
     """Product of two normal forms."""
-    factors = [(side, power, 0, 0) for side, power in v.syllables]
-    factors.append(("P", 0, v.tail.a, v.tail.g))
-    return _multiply(list(u.syllables), u.tail.g, u.tail.a, factors)
+    left, right = u.syllables, v.syllables
+    a = u.tail.a ^ v.tail.a
+    if u.tail.g and right:
+        # u's tail moves through v's syllables as in normal_form
+        a ^= _pair_parity(right)
+        right = tuple(s if s[0] == "P" else _TRIPLE[3 - s[1]] for s in right)
+    # cancel across the junction: after one side match the sides keep
+    # matching, since both operands alternate
+    i, j, middle = len(left), 0, ()
+    if i and right and left[-1][0] == right[0][0]:
+        triple = left[-1][0] == "Q"
+        while True:
+            i -= 1
+            k = left[i][1] + right[j][1]
+            j += 1
+            if triple:
+                k %= 3
+            if k:
+                middle = (_TRIPLE[k],) if triple else (_PAIR.get(k) or ("P", k),)
+                break
+            if not i or j == len(right):
+                break
+            triple = not triple
+    # tuple() returns a tuple as it is and copies the list a caller may
+    # have handed to NormalForm
+    syllables = tuple(left[:i]) + middle + tuple(right[j:])
+    return _trusted(syllables, _TAIL[u.tail.g ^ v.tail.g][a])
 
 
 def inv_nf(u: NormalForm) -> NormalForm:
     """Inverse of a normal form."""
-    # every edge-stabilizer element, u.tail among them, is its own inverse
-    factors = ((side, -power, 0, 0) for side, power in reversed(u.syllables))
-    return _multiply([], u.tail.g, u.tail.a, factors)
+    # (c_1 ... c_n h)^-1 = h c_n^-1 ... c_1^-1, and h (its own inverse)
+    # moves back to the right end as in normal_form
+    g, a = u.tail.g, u.tail.a
+    if g:
+        a ^= _pair_parity(u.syllables)
+    syllables = tuple(
+        (_PAIR.get(-k) or ("P", -k)) if side == "P" else _TRIPLE[k if g else 3 - k]
+        for side, k in reversed(u.syllables)
+    )
+    return _trusted(syllables, _TAIL[g][a])
 
 
 def are_equal(u: str, v: str) -> bool:

@@ -371,9 +371,12 @@ def validate(
     images; each subdivision must be adjacent to both flanking images;
     the replayed loop must equal the recorded final loop, which must lie
     in the star of the base vertex.  An image that makes the adjacency
-    oracle raise fails its move (or the loop or final check).
+    oracle raise fails its move (or the loop or final check).  Last, the
+    initial loop must be nonempty and start at the base vertex, the
+    inputs contract_loop accepts.
     """
     cur = list(loop)
+    start = cur[:1]
     m = len(cur)
     for idx, v in enumerate(cur):
         j = (idx + 1) % m
@@ -428,4 +431,8 @@ def validate(
             return ValidationReport(False, None, reason)
         if not ok:
             return ValidationReport(False, None, f"final image {v!r} outside the base star")
+    if not start:
+        return ValidationReport(False, None, "loop must be nonempty")
+    if start[0] != base:
+        return ValidationReport(False, None, "loop must start at the base vertex")
     return ValidationReport(True)

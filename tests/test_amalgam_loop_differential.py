@@ -1,13 +1,16 @@
-"""Differential test: goeritz.amalgam against its former left-to-right loop.
+"""Differential test: goeritz.amalgam against its former left-to-right loops.
 
 tests/amalgam_loop_reference.py keeps the rewriting loop that appended
-and popped a tuple per letter and the per-character invert_word, and
+and popped a tuple per letter and the per-character invert_word,
+tests/amalgam_held_loop_reference.py the later loop that held the last
+syllable in locals and carried the tail through every letter, and
 tests/amalgam_reference.py the per-character parse.  The package now
-parses with str.translate and str.replace and holds the last syllable in
-locals.  The references share only NormalForm and EdgeStabilizer with
-it.  Both loops are linear, so the words here reach the sizes of the
-long_words benchmark, which the quadratic rewriter of
-tests/test_amalgam_differential.py cannot.
+parses with str.translate and str.replace, moves every g to the right
+end with string operations, merges syllables only, and builds its
+results without check_syllables.  The references share only NormalForm
+and the edge stabilizer with it.  The loops are linear, so the words
+here reach the sizes of the long_words benchmark, which the quadratic
+rewriter of tests/test_amalgam_differential.py cannot.
 """
 
 import random
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import amalgam_held_loop_reference as held_ref
 import amalgam_loop_reference as loop_ref
 import amalgam_reference as ref
 from goeritz import amalgam
@@ -28,11 +32,12 @@ def _alternating(rng, letters):
 
 def _assert_rewriting_matches(u, v):
     nu, nv = amalgam.normal_form(u), amalgam.normal_form(v)
-    assert nu == loop_ref.normal_form(u)
-    assert nv == loop_ref.normal_form(v)
-    assert amalgam.mul_nf(nu, nv) == loop_ref.mul_nf(nu, nv)
-    assert amalgam.mul_nf(nv, nu) == loop_ref.mul_nf(nv, nu)
-    assert amalgam.inv_nf(nu) == loop_ref.inv_nf(nu)
+    for ref_loop in (loop_ref, held_ref):
+        assert nu == ref_loop.normal_form(u)
+        assert nv == ref_loop.normal_form(v)
+        assert amalgam.mul_nf(nu, nv) == ref_loop.mul_nf(nu, nv)
+        assert amalgam.mul_nf(nv, nu) == ref_loop.mul_nf(nv, nu)
+        assert amalgam.inv_nf(nu) == ref_loop.inv_nf(nu)
     # the product with the inverse cancels every syllable back to the start
     assert amalgam.mul_nf(nu, amalgam.inv_nf(nu)).is_identity()
 
@@ -88,14 +93,26 @@ def test_cancelling_words_reduce_as_expected():
     assert nf.syllables == (("P", 1), ("Q", 2))
 
 
+# the stabilizer factors the former loop was handed as tuples, as words:
+# d^3, b^2, d^-3, then d^6 g a, b^-2, d^4, d^5
+NON_REDUCED_FACTORS = "ddd" + "bb" + "DDD" + "dddddd" + "ga" + "BB" + "dddd" + "ddddd"
+
+
 def test_non_reduced_factors_match_former_loop():
-    # a triple-side factor of power 0 mod 3 adds nothing, held syllable or not
-    for syllables in ([], [("P", 2)], [("Q", 1)], [("P", 1), ("Q", 2)]):
-        for g in (0, 1):
-            factors = [("Q", 3, 0, 0), ("P", 2, 0, 0), ("Q", -3, 0, 0), ("Q", 6, 1, 1),
-                       ("P", -2, 0, 0), ("Q", 4, 0, 0), ("Q", 5, 0, 0)]
-            assert (amalgam._multiply(list(syllables), g, 1, factors)
-                    == loop_ref._multiply(list(syllables), g, 1, factors))
+    # a triple-side power 0 mod 3 adds nothing, with a held syllable or
+    # without, at either g bit, with the a bit set
+    for held in ("", "bb", "d", "bD"):
+        for g in ("", "g"):
+            prefix = held + g + "a"
+            assert amalgam.normal_form(prefix + "ddd") == amalgam.normal_form(prefix)
+            assert amalgam.normal_form(prefix + "DDD") == amalgam.normal_form(prefix)
+            word = prefix + NON_REDUCED_FACTORS
+            for ref_loop in (loop_ref, held_ref):
+                assert amalgam.normal_form(word) == ref_loop.normal_form(word)
+    for word in ("ddd", "DDD", "bbdddbb", "gdddg", "bgBgdddb"):
+        nf = amalgam.normal_form(word)
+        assert nf == held_ref.normal_form(word) == loop_ref.normal_form(word)
+        assert nf == amalgam.normal_form(word.replace("ddd", "").replace("DDD", ""))
 
 
 # hypothesis keeps most texts short, so long words are also built from
@@ -112,6 +129,24 @@ long_words = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_hypothesis_words_match_former_loop(u, v):
     _assert_rewriting_matches(u, v)
+
+
+@given(long_words, long_words, st.integers(0, 2000))
+@settings(max_examples=200, deadline=None)
+def test_results_pass_check_syllables(u, v, cut):
+    # the package builds its results without check_syllables, so they are
+    # checked here; u + x and x^-1 + v cancel across the junction of a
+    # product, and u + (a prefix of u^-1) inside one word
+    x = amalgam.invert_word(u)[:cut]
+    nu, nv = amalgam.normal_form(u + x), amalgam.normal_form(amalgam.invert_word(x) + v)
+    results = [nu, nv, amalgam.normal_form(u + x + v)]
+    results += [amalgam.mul_nf(nu, nv), amalgam.mul_nf(nv, nu), amalgam.mul_nf(nu, nu)]
+    results += [amalgam.inv_nf(nf) for nf in results]
+    results += [amalgam.mul_nf(nu, amalgam.inv_nf(nu)), amalgam.mul_nf(amalgam.inv_nf(nv), nv)]
+    for nf in results:
+        amalgam.check_syllables(nf.syllables)
+        assert type(nf.syllables) is tuple
+        assert all(type(s) is tuple for s in nf.syllables)
 
 
 # any code point; lone surrogates are rare among all characters, so they
@@ -185,3 +220,15 @@ def test_parse_rejects_a_non_string(value):
         amalgam.normal_form(value)
     with pytest.raises(TypeError):
         amalgam.invert_word(value)
+
+
+def test_list_syllables_multiply_like_former_loop():
+    # NormalForm checks but keeps a list it is handed; products and
+    # inverses of it are tuples, as the former loop made them
+    u = amalgam.NormalForm([("P", 1), ("Q", 1)])
+    v = amalgam.normal_form("dBg")
+    for x, y in ((u, u), (v, u), (u, v)):
+        product = amalgam.mul_nf(x, y)
+        assert product == held_ref.mul_nf(x, y)
+        assert type(product.syllables) is tuple
+    assert amalgam.inv_nf(u) == held_ref.inv_nf(u)

@@ -475,3 +475,23 @@ def test_certificate_json_with_an_unknown_move_type_raises_value_error():
     with pytest.raises(ValueError) as err:
         HomotopyCertificate.from_json_dict(data, decode=farey.parse_slope)
     assert str(err.value) == "unknown move type 'rotate'"
+
+
+def test_validate_refuses_the_empty_loop_like_contract_loop():
+    report = validate(farey.adjacent, HomotopyCertificate([], []), [], farey.BASE)
+    assert (report.ok, report.failed_move) == (False, None)
+    assert report.reason == "loop must be nonempty"
+    with pytest.raises(ValueError, match="^loop must be nonempty$"):
+        contract_loop(farey.adjacent, farey.remoteness, farey.blocking, [], farey.BASE)
+
+
+def test_validate_refuses_a_loop_away_from_the_base_like_contract_loop():
+    # 0/1 and infinity are adjacent and both lie in the base star
+    loop = [farey.Slope(0, 1), farey.INFINITY]
+    report = validate(farey.adjacent, HomotopyCertificate([], loop), loop, farey.BASE)
+    assert (report.ok, report.failed_move) == (False, None)
+    assert report.reason == "loop must start at the base vertex"
+    with pytest.raises(ValueError, match="^loop must start at the base vertex$"):
+        contract_loop(farey.adjacent, farey.remoteness, farey.blocking, loop, farey.BASE)
+    # the same loop read from the base is certified
+    assert validate(farey.adjacent, HomotopyCertificate([], loop[::-1]), loop[::-1], farey.BASE)
