@@ -38,7 +38,8 @@ inv_nf is one comprehension.  All three are linear.
 The alternating shape survives every step, so equality of group
 elements is literal equality of normal forms.  Results are therefore
 built through the slot descriptors without running check_syllables
-again; the public NormalForm constructor still checks its input.
+again; the public NormalForm constructor keeps its syllables as a tuple
+and checks them.
 Syllables are shared: each letter's syllable, each triple syllable and
 each pair syllable with |power| <= 32 is one prebuilt tuple.
 
@@ -151,12 +152,15 @@ def check_syllables(syllables: tuple[tuple[str, int], ...]) -> None:
 
 @dataclass(frozen=True, slots=True)
 class NormalForm:
-    """Alternating (side, power) syllables followed by an edge-stabilizer tail."""
+    """Alternating (side, power) syllables followed by an edge-stabilizer tail.
+
+    The constructor keeps the syllables as a tuple and checks them."""
 
     syllables: tuple[tuple[str, int], ...] = ()
     tail: EdgeStabilizer = EDGE_IDENTITY
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "syllables", tuple(self.syllables))
         check_syllables(self.syllables)
 
     def is_identity(self) -> bool:
@@ -269,9 +273,7 @@ def mul_nf(u: NormalForm, v: NormalForm) -> NormalForm:
             if not i or j == len(right):
                 break
             triple = not triple
-    # tuple() returns a tuple as it is and copies the list a caller may
-    # have handed to NormalForm
-    syllables = tuple(left[:i]) + middle + tuple(right[j:])
+    syllables = left[:i] + middle + right[j:]
     return _trusted(syllables, _TAIL[u.tail.g ^ v.tail.g][a])
 
 

@@ -27,7 +27,7 @@ __all__ = ["main"]
 
 
 def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, default=str))
     else:
         for line in lines:
@@ -161,9 +161,8 @@ def _element_word(elem: stabilizers.TripleStabilizer) -> str:
 
 
 def _cmd_stabilizers(args: argparse.Namespace) -> int:
-    triple = stabilizers.triple_elements()
-    edge = stabilizers.edge_elements()
-    base_p, base_t = tree.base_pair_vertex(), tree.base_triple_vertex()
+    triple, edge = stabilizers.TRIPLE_ELEMENTS, stabilizers.EDGE_ELEMENTS
+    base_p, base_t = tree.BASE_PAIR_VERTEX, tree.BASE_TRIPLE_VERTEX
     triple_fix = all(tree.act(_element_word(e), base_t) == base_t for e in triple)
     pair_fix = {
         name: tree.act(word, base_p) == base_p

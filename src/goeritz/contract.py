@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 __all__ = [
     "OracleContractViolation",
@@ -64,7 +64,6 @@ __all__ = [
     "check_blocking_answer",
     "contract_loop",
     "validate",
-    "max_remoteness",
     "DEFAULT_FUEL",
 ]
 
@@ -200,10 +199,6 @@ def _json_array(items: list[str]) -> str:
     """Encoded items laid out as json.dumps(..., indent=2) lays out an
     array that is a value of the top-level object."""
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-
-
-def max_remoteness(remoteness: Remoteness, loop: Iterable[Vertex]) -> int:
-    return max(remoteness(v) for v in loop)
 
 
 def check_blocking_answer(
@@ -343,7 +338,7 @@ def contract_loop(
             n, count, front = level()
         elif value == 0:
             front = rs.index(n, front + 1)
-    return HomotopyCertificate(moves, list(cur))
+    return HomotopyCertificate(moves, cur)
 
 
 @dataclass

@@ -179,17 +179,14 @@ def neighbours(v: Slope, bound: int) -> list[Slope]:
     """Farey neighbours of v along the chain parent + k*v, |k| <= bound.
 
     For infinity this is the integer slopes -bound..bound.  The chain
-    covers every neighbour as the bound grows.
+    covers every neighbour as the bound grows.  Its 2 * bound + 1 slopes
+    are distinct and nonzero: the first parent a (infinity for an integer)
+    has |det(a, v)| = 1, so det(a + k*v, a + j*v) = (j - k) det(a, v).
     """
     if v == INFINITY:
         return [Slope(n, 1) for n in range(-bound, bound + 1)]
     a = parents(v)[0]
-    out = []
-    for k in range(-bound, bound + 1):
-        p, q = a.p + k * v.p, a.q + k * v.q
-        if (p, q) != (0, 0):
-            out.append(slope(p, q))
-    return sorted(set(out))
+    return sorted(slope(a.p + k * v.p, a.q + k * v.q) for k in range(-bound, bound + 1))
 
 
 class WitnessNotFound(RuntimeError):

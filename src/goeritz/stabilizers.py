@@ -49,8 +49,8 @@ __all__ = [
     "EDGE_G",
     "EDGE_A",
     "EDGE_GA",
-    "triple_elements",
-    "edge_elements",
+    "TRIPLE_ELEMENTS",
+    "EDGE_ELEMENTS",
 ]
 
 
@@ -193,16 +193,9 @@ EDGE_A = EdgeStabilizer(0, 1)
 EDGE_GA = EdgeStabilizer(1, 1)
 
 
-def triple_elements() -> tuple[TripleStabilizer, ...]:
-    """All twelve elements of the triple stabilizer, in lexicographic order."""
-    return tuple(
-        TripleStabilizer(d, g, a)
-        for d in range(3)
-        for g in range(2)
-        for a in range(2)
-    )
-
-
-def edge_elements() -> tuple[EdgeStabilizer, ...]:
-    """All four elements of the edge stabilizer."""
-    return (EDGE_IDENTITY, EDGE_G, EDGE_A, EDGE_GA)
+# all twelve elements of the triple stabilizer, in lexicographic order
+TRIPLE_ELEMENTS = tuple(
+    TripleStabilizer(d, g, a) for d in range(3) for g in range(2) for a in range(2)
+)
+# all four elements of the edge stabilizer
+EDGE_ELEMENTS = (EDGE_IDENTITY, EDGE_G, EDGE_A, EDGE_GA)

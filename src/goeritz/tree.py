@@ -35,7 +35,6 @@ the graph is connected, so no neighbour list or search is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .amalgam import NormalForm, mul_nf, nf_to_word, normal_form
 
@@ -43,16 +42,15 @@ __all__ = [
     "PAIR",
     "TRIPLE",
     "TreeBall",
-    "base_pair_vertex",
-    "base_triple_vertex",
-    "base_edge",
+    "BASE_PAIR_VERTEX",
+    "BASE_TRIPLE_VERTEX",
+    "BASE_EDGE",
     "edge_endpoints",
     "rep_word",
     "vertex_label",
     "ball",
     "act",
     "act_edge",
-    "stabilizer_of",
     "is_tree",
     "QuotientReport",
     "quotient",
@@ -77,16 +75,9 @@ def vertex_label(vertex: Vertex) -> str:
     return f"{kind}[{_rep_label(rep)}]"
 
 
-def base_pair_vertex() -> Vertex:
-    return PAIR, ()
-
-
-def base_triple_vertex() -> Vertex:
-    return TRIPLE, ()
-
-
-def base_edge() -> Rep:
-    return ()
+BASE_PAIR_VERTEX: Vertex = (PAIR, ())
+BASE_TRIPLE_VERTEX: Vertex = (TRIPLE, ())
+BASE_EDGE: Rep = ()
 
 
 def _end(kind: str, rep: Rep) -> Vertex:
@@ -130,8 +121,8 @@ def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
     # so the cap is hit before 2 * cap of them and the rest go unread.
     pair_side = [("P", k) for k in range(-max_power, max_power + 1)[:2 * max(cap, 1)] if k]
     triple_side = [("Q", 1), ("Q", 2)]
-    vertices = [(PAIR, ()), (TRIPLE, ())]
-    edges = [()]
+    vertices = [BASE_PAIR_VERTEX, BASE_TRIPLE_VERTEX]
+    edges = [BASE_EDGE]
     seen_pair, seen_triple, seen_e = {()}, {()}, {()}
     frontier = vertices[:]
     for _ in range(radius):
@@ -181,11 +172,6 @@ def act(word: str, vertex: Vertex) -> Vertex:
 def act_edge(word: str, rep: Rep) -> Rep:
     """Left action on an edge."""
     return mul_nf(normal_form(word), NormalForm(rep)).syllables
-
-
-def stabilizer_of(vertex: Vertex, words: Iterable[str]) -> list[str]:
-    """The candidate words that fix the vertex."""
-    return [w for w in words if act(w, vertex) == vertex]
 
 
 def is_tree(b: TreeBall) -> bool:

@@ -3,9 +3,9 @@
 A word is plain text with one character per letter, lowercase for a
 generator and uppercase for its inverse, so "xyXY" denotes the
 commutator x y x^-1 y^-1.  Every function here takes such text, reduced
-or not, raises ValueError on any other character, and returns plain
-data: reduced words are str, exponent sums a pair of ints, verdicts
-bool.
+or not, raises TypeError on anything but a str and ValueError on any
+other character, and returns plain data: reduced words are str,
+exponent sums a pair of ints, verdicts bool.
 
 Besides free and cyclic reduction this module decides primitivity (is a
 word part of some free basis?) in linear time, by Christoffel descent.
@@ -42,6 +42,8 @@ def parse_word(text: str) -> str:
     >>> parse_word("xyY")
     'x'
     """
+    if not isinstance(text, str):
+        raise TypeError(f"word must be a string, not {type(text).__name__}")
     junk = text.translate(_DROP_LETTERS)
     if junk:
         raise ValueError(f"invalid character {junk[0]!r}; expected one of 'xXyY'")

@@ -23,7 +23,7 @@ from goeritz.amalgam import (
     verify_presentation,
 )
 from goeritz.simplicial import Complex, remove_open_stars
-from goeritz.stabilizers import edge_elements, triple_elements
+from goeritz.stabilizers import EDGE_ELEMENTS, TRIPLE_ELEMENTS
 from goeritz.words import (
     cyclic_reduce,
     iter_cyclically_reduced,
@@ -97,8 +97,8 @@ def test_criterion_04_quotient_is_a_single_edge():
 
 
 def test_criterion_05_stabilizer_enumerations():
-    triples = triple_elements()
-    edges = edge_elements()
+    triples = TRIPLE_ELEMENTS
+    edges = EDGE_ELEMENTS
     assert len(triples) == 12 and len(set(triples)) == 12
     assert len(edges) == 4 and len(set(edges)) == 4
     base_t = (tree.TRIPLE, ())

@@ -144,6 +144,24 @@ def test_syllable_and_normal_form_validation():
         NormalForm((("R", 1),))
 
 
+def test_list_built_normal_form_is_the_tuple_built_one():
+    listed = NormalForm([("P", 1), ("Q", 1)])
+    assert listed == normal_form("bd")
+    assert hash(listed) == hash(normal_form("bd"))
+    assert type(listed.syllables) is tuple
+    rng = random.Random(8)
+    for _ in range(200):
+        u = normal_form(random_word(rng, rng.randint(0, 20)))
+        v = normal_form(random_word(rng, rng.randint(0, 20)))
+        u_list = NormalForm(list(u.syllables), u.tail)
+        v_list = NormalForm(list(v.syllables), v.tail)
+        assert mul_nf(u_list, v_list) == mul_nf(u, v)
+        assert mul_nf(u_list, v) == mul_nf(u, v_list) == mul_nf(u, v)
+        assert inv_nf(u_list) == inv_nf(u)
+    with pytest.raises(ValueError, match="^pair syllable with zero power$"):
+        NormalForm([("P", 0)])
+
+
 def test_alternation_invariant_holds_on_random_words():
     rng = random.Random(6)
     for _ in range(300):

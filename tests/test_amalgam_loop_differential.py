@@ -223,7 +223,7 @@ def test_parse_rejects_a_non_string(value):
 
 
 def test_list_syllables_multiply_like_former_loop():
-    # NormalForm checks but keeps a list it is handed; products and
+    # NormalForm keeps a list it is handed as a tuple; products and
     # inverses of it are tuples, as the former loop made them
     u = amalgam.NormalForm([("P", 1), ("Q", 1)])
     v = amalgam.normal_form("dBg")

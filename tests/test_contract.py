@@ -20,7 +20,6 @@ from goeritz.contract import (
     Subdivide,
     check_blocking_answer,
     contract_loop,
-    max_remoteness,
     validate,
 )
 
@@ -72,10 +71,6 @@ def test_loop_validation():
         contract_loop(line_adjacent, line_remoteness, line_blocking, [0, 2], 0)
     with pytest.raises(ValueError):
         contract_loop(line_adjacent, line_remoteness, line_blocking, [0, 1, 3], 0)
-
-
-def test_max_remoteness():
-    assert max_remoteness(line_remoteness, [0, 3, 1]) == 3
 
 
 # --- the reflexive-adjacency contract ---------------------------------------

@@ -177,6 +177,30 @@ def test_neighbours_chain():
     assert neighbours(INFINITY, 2) == [Slope(n, 1) for n in range(-2, 3)]
 
 
+def _neighbours_reference(v, bound):
+    # the chain with a guard against 0/0 and a set against repeats, which
+    # neighbours() leaves out because |det(parent, v)| = 1 rules both out
+    if v == INFINITY:
+        return [Slope(n, 1) for n in range(-bound, bound + 1)]
+    a = parents(v)[0]
+    out = []
+    for k in range(-bound, bound + 1):
+        p, q = a.p + k * v.p, a.q + k * v.q
+        if (p, q) != (0, 0):
+            out.append(slope(p, q))
+    return sorted(set(out))
+
+
+def test_neighbours_are_distinct_sorted_and_adjacent():
+    for v in [INFINITY, *build(24).vertices()]:
+        for bound in range(7):
+            chain = neighbours(v, bound)
+            assert chain == sorted(chain)
+            assert len(set(chain)) == len(chain) == 2 * bound + 1, (v, bound)
+            assert all(adjacent(u, v) for u in chain), (v, bound)
+            assert chain == _neighbours_reference(v, bound), (v, bound)
+
+
 def test_blocking_with_a_single_shallow_member():
     value, witness = blocking((Slope(0, 1),), Slope(1, 2))
     assert value == 0

@@ -16,6 +16,7 @@ import pytest
 
 from goeritz.stabilizers import (
     EDGE_A,
+    EDGE_ELEMENTS,
     EDGE_G,
     EDGE_GA,
     EDGE_IDENTITY,
@@ -25,13 +26,12 @@ from goeritz.stabilizers import (
     PAIR_T,
     TRIPLE_A,
     TRIPLE_D,
+    TRIPLE_ELEMENTS,
     TRIPLE_G,
     TRIPLE_IDENTITY,
     EdgeStabilizer,
     PairStabilizer,
     TripleStabilizer,
-    edge_elements,
-    triple_elements,
 )
 
 # A 2x2 monomial matrix is (s, ((c0, k0), (c1, k1))): row i holds its one
@@ -182,7 +182,7 @@ def test_triple_perm_model_respects_relations():
 
 
 def test_triple_enumeration_is_the_full_group():
-    elements = triple_elements()
+    elements = TRIPLE_ELEMENTS
     assert len(elements) == 12
     assert len(set(elements)) == 12
     images = {triple_perm(e) for e in elements}
@@ -190,7 +190,7 @@ def test_triple_enumeration_is_the_full_group():
 
 
 def test_triple_multiplication_matches_permutations_exhaustively():
-    elements = triple_elements()
+    elements = TRIPLE_ELEMENTS
     for x in elements:
         for y in elements:
             px, bx = triple_perm(x)
@@ -200,7 +200,7 @@ def test_triple_multiplication_matches_permutations_exhaustively():
 
 
 def test_triple_associativity_exhaustively():
-    elements = triple_elements()
+    elements = TRIPLE_ELEMENTS
     for x in elements:
         for y in elements:
             for z in elements:
@@ -208,7 +208,7 @@ def test_triple_associativity_exhaustively():
 
 
 def test_triple_inverses_and_involutions():
-    for x in triple_elements():
+    for x in TRIPLE_ELEMENTS:
         assert x * x.inverse() == TRIPLE_IDENTITY
         assert x.inverse() * x == TRIPLE_IDENTITY
         if x.g == 1:
@@ -218,12 +218,12 @@ def test_triple_inverses_and_involutions():
 
 
 def test_triple_a_is_central():
-    for x in triple_elements():
+    for x in TRIPLE_ELEMENTS:
         assert x * TRIPLE_A == TRIPLE_A * x
 
 
 def test_triple_decompose():
-    for x in triple_elements():
+    for x in TRIPLE_ELEMENTS:
         d, tail = x.decompose()
         assert TripleStabilizer(d, 0, 0) * tail.in_triple() == x
 
@@ -232,7 +232,7 @@ def test_triple_decompose():
 
 
 def test_edge_group_is_klein_four():
-    elements = edge_elements()
+    elements = EDGE_ELEMENTS
     assert len(elements) == 4
     for x in elements:
         assert x * x == EDGE_IDENTITY
@@ -243,15 +243,15 @@ def test_edge_group_is_klein_four():
 
 
 def test_edge_embeddings_are_homomorphisms():
-    for x in edge_elements():
-        for y in edge_elements():
+    for x in EDGE_ELEMENTS:
+        for y in EDGE_ELEMENTS:
             assert (x * y).in_pair() == x.in_pair() * y.in_pair()
             assert (x * y).in_triple() == x.in_triple() * y.in_triple()
 
 
 def test_edge_embeddings_are_injective_and_send_a_to_t():
-    pair_images = {x.in_pair() for x in edge_elements()}
-    triple_images = {x.in_triple() for x in edge_elements()}
+    pair_images = {x.in_pair() for x in EDGE_ELEMENTS}
+    triple_images = {x.in_triple() for x in EDGE_ELEMENTS}
     assert len(pair_images) == len(triple_images) == 4
     assert EDGE_A.in_pair() == PAIR_T
     assert EDGE_G.in_pair() == PAIR_G

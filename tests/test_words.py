@@ -50,6 +50,15 @@ def test_parse_rejects_garbage():
         parse_word("xz")
 
 
+@pytest.mark.parametrize(
+    "func", [parse_word, cyclic_reduce, is_primitive, abelianize, mixed_sign_criterion]
+)
+@pytest.mark.parametrize("value, type_name", [(12, "int"), (None, "NoneType")])
+def test_non_string_words_raise_type_error(func, value, type_name):
+    with pytest.raises(TypeError, match=f"^word must be a string, not {type_name}$"):
+        func(value)
+
+
 def test_letter_inverse():
     for letter in ALPHABET:
         assert inverse(inverse(letter)) == letter
