@@ -1,17 +1,23 @@
-"""Size ladders for free-group words: `words.is_primitive` and
-`words.cyclic_reduce` time against length, and the per-call cost of
-`goeritz primitive --json`.
+"""Size ladders for free-group words: `words.is_primitive`,
+`words.cyclic_reduce` and `words.parse_word` time against length, and
+the per-call cost of `goeritz primitive --json`.
 
     python benchmarks/words.py [--out BENCH_words.json] [--parent PARENT.json]
 
-Three word families.  "fibonacci": seeded Nielsen images of x, the
+Four word families.  "fibonacci": seeded Nielsen images of x, the
 primitive words that (u, v) -> (u v or v u, u) builds from (x, y),
 relabelled and rotated, of F(11), F(13), ..., F(25) = 89 ... 75,025
 letters.  "long_run": x^n y at n = 1k, 2k, ..., 64k, the shape on which
 the former Whitehead search was quadratic.  "random": seeded random
-reduced words of 1k ... 64k letters (cyclic_reduce only, as they are
-not primitive).  Each rung is timed as the minimum of five repeats; the
-untimed probe of an is_primitive row asserts that the word is accepted.
+reduced words of 1k ... 64k letters.  "one_pair": the same sizes, a
+seeded random reduced word with one inverse pair put in the middle, so
+that free reduction cancels exactly that pair.  The last two are not
+primitive and get cyclic_reduce and parse_word rows only: "random"
+times the search for a pair that is not there, "one_pair" the
+per-letter cancellation stack that one pair sends the whole word to.  Each
+rung is timed as the minimum of five repeats; the untimed probe of an
+is_primitive row asserts that the word is accepted, that of a
+parse_word row records the reduced length as its counters.
 The rows for layer "words" time the package in src/; the rows for layer
 "cli" time `cli.main(["primitive", w, "--json"])` with stdout captured,
 on the fibonacci rungs of at most CLI_MAX letters (89 and 233), so the
@@ -64,10 +70,20 @@ def _random_reduced(letters: int) -> str:
     return "".join(out)
 
 
+def _one_pair(letters: int) -> str:
+    w = _random_reduced(letters - 2)
+    middle = len(w) // 2
+    before, after = w[middle - 1], w[middle]
+    # a pair a A whose letters cancel neither neighbour, so it is the only one
+    a = next(ch for ch in "xXyY" if ch != before.swapcase() and ch != after)
+    return w[:middle] + a + a.swapcase() + w[middle:]
+
+
 FAMILIES = {
     "fibonacci": (_nielsen_image, NIELSEN_STEPS),
     "long_run": (lambda n: "x" * n + "y", LONG_RUNS),
     "random": (_random_reduced, LONG_RUNS),
+    "one_pair": (_one_pair, LONG_RUNS),
 }
 
 
@@ -82,6 +98,10 @@ def _accepted(func):
     return probe
 
 
+def _reduced_letters(word: str) -> dict:
+    return {"reduced_letters": len(words.parse_word(word))}
+
+
 def _rungs(family: str, top: float):
     make, sizes = FAMILIES[family]
     return ((len(w), w) for w in map(make, sizes) if len(w) <= top)
@@ -92,11 +112,12 @@ def _rows():
     for layer, op, func, families, top in (
         ("words", "is_primitive", words.is_primitive, primitive, math.inf),
         ("words", "cyclic_reduce", words.cyclic_reduce, tuple(FAMILIES), math.inf),
+        ("words", "parse_word", words.parse_word, ("random", "one_pair"), math.inf),
         ("cli", "primitive_json", _cli_primitive, ("fibonacci",), CLI_MAX),
         ("whitehead_reference", "is_primitive", whitehead_reference.is_primitive,
          primitive, REFERENCE_MAX),
     ):
-        probe = None if op == "cyclic_reduce" else _accepted(func)
+        probe = {"cyclic_reduce": None, "parse_word": _reduced_letters}.get(op, _accepted(func))
         for family in families:
             yield layer, f"{op}/{family}", _rungs(family, top), func, probe
 

@@ -154,7 +154,8 @@ def check_syllables(syllables: tuple[tuple[str, int], ...]) -> None:
 class NormalForm:
     """Alternating (side, power) syllables followed by an edge-stabilizer tail.
 
-    The constructor keeps the syllables as a tuple and checks them."""
+    The constructor keeps the syllables as a tuple and checks them, and
+    raises TypeError for a tail that is not an EdgeStabilizer."""
 
     syllables: tuple[tuple[str, int], ...] = ()
     tail: EdgeStabilizer = EDGE_IDENTITY
@@ -162,6 +163,8 @@ class NormalForm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "syllables", tuple(self.syllables))
         check_syllables(self.syllables)
+        if not isinstance(self.tail, EdgeStabilizer):
+            raise TypeError(f"tail must be an EdgeStabilizer, not {type(self.tail).__name__}")
 
     def is_identity(self) -> bool:
         return not self.syllables and self.tail.is_identity()

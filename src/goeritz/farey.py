@@ -32,6 +32,10 @@ p*s - r*q = 1, so r*q - p*s = -1 and r/s < (p-r)/(q-s): they come out
 in ascending order with no comparison
 (Graham, Knuth and Patashnik, Concrete Mathematics, section 4.5).
 
+parse_slope reads 'inf', 'p/q' or an integer.  Like amalgam.parse and
+words.parse_word it raises TypeError on anything but a str, and
+ValueError on text that names no slope.
+
 This module is an analogue used as an engine fixture, not a model of
 the disk complex the rest of the package is about.
 """
@@ -122,9 +126,10 @@ def slope(p: int, q: int) -> Slope:
 
 
 def parse_slope(text: str) -> Slope:
-    """Parse 'inf', 'p/q' or a bare integer; ValueError for anything else."""
+    """Parse 'inf', 'p/q' or a bare integer; TypeError for a non-str,
+    ValueError for any other text."""
     if not isinstance(text, str):
-        raise ValueError(f"slope must be a string, not {type(text).__name__}")
+        raise TypeError(f"slope must be a string, not {type(text).__name__}")
     text = text.strip()
     if text == "inf":
         return INFINITY

@@ -12,8 +12,8 @@ is named by its representative alone.  The endpoint rule, stated in
 ``_end``: the vertex of a kind at the end of the edge ``rep`` is ``rep``
 with a trailing syllable of that kind's own side ("P" for pair, "Q" for
 triple) dropped, since that syllable moves within the same coset.
-``act``, ``edge_endpoints`` and ``to_dot`` call ``_end``; the per-edge
-loops of ``ball`` and ``is_tree`` inline it, each with a comment that
+``act`` and ``edge_endpoints`` call ``_end``; the per-edge loops of
+``ball``, ``is_tree`` and ``to_dot`` inline it, each with a comment that
 points back to it.
 Canonical pair representatives therefore never end in "P" and triple
 representatives never end in "Q".  Distinct canonical representatives
@@ -34,6 +34,7 @@ the graph is connected, so no neighbour list or search is needed.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .amalgam import NormalForm, mul_nf, nf_to_word, normal_form
@@ -256,14 +257,21 @@ def quotient(b: TreeBall, witness_samples: int = 20) -> QuotientReport:
 
 
 def to_dot(b: TreeBall) -> str:
-    """GraphViz rendering: pair vertices are circles, triple vertices boxes."""
-    ids = {v: f"v{i}" for i, v in enumerate(b.vertices)}
+    """GraphViz rendering: pair vertices are circles, triple vertices boxes.
+    The vertex at position i of the ball is node v<i>; a vertex of any
+    other kind is drawn as a box and meets no edge."""
+    ids: defaultdict[str, dict[Rep, str]] = defaultdict(dict)
     lines = ["graph coset_tree {"]
-    for v in b.vertices:
-        kind, rep = v
+    for i, (kind, rep) in enumerate(b.vertices):
+        ids[kind][rep] = node = f"v{i}"
         shape = "circle" if kind == PAIR else "box"
-        lines.append(f'  {ids[v]} [label="{_rep_label(rep)}", shape={shape}];')
+        lines.append(f'  {node} [label="{_rep_label(rep)}", shape={shape}];')
+    pair_ids, triple_ids = ids[PAIR], ids[TRIPLE]
     for e in b.edges:
-        lines.append(f"  {ids[_end(PAIR, e)]} -- {ids[_end(TRIPLE, e)]};")
+        # the two ends are _end(PAIR, e) and _end(TRIPLE, e), inlined
+        side = e[-1][0] if e else ""
+        p = pair_ids[e[:-1] if side == "P" else e]
+        q = triple_ids[e[:-1] if side == "Q" else e]
+        lines.append(f"  {p} -- {q};")
     lines.append("}")
     return "\n".join(lines)

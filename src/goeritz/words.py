@@ -7,6 +7,11 @@ or not, raises TypeError on anything but a str and ValueError on any
 other character, and returns plain data: reduced words are str,
 exponent sums a pair of ints, verdicts bool.
 
+Free reduction looks for an inverse pair (xX, Xx, yY or Yy) with four
+substring searches, which run in C; a word with none is reduced
+already and comes back as it is.  Otherwise a per-letter cancellation
+stack reduces the whole word, linear in the worst case.
+
 Besides free and cyclic reduction this module decides primitivity (is a
 word part of some free basis?) in linear time, by Christoffel descent.
 There is also the cheap certificate used throughout the package: a
@@ -16,7 +21,6 @@ y^-1) is never primitive.
 
 from __future__ import annotations
 
-import re
 from typing import Iterator
 
 __all__ = [
@@ -29,7 +33,6 @@ __all__ = [
 ]
 
 _INVERSE = {"x": "X", "X": "x", "y": "Y", "Y": "y"}
-_INVERSE_PAIR = re.compile("xX|Xx|yY|Yy")
 _DROP_LETTERS = str.maketrans("", "", "xXyY")
 # canonical letter order x < x^-1 < y < y^-1, as ASCII-ordered stand-ins
 _TO_ORDER = str.maketrans("xXyY", "abcd")
@@ -51,7 +54,7 @@ def parse_word(text: str) -> str:
 
 
 def _free_reduce(word: str) -> str:
-    if not _INVERSE_PAIR.search(word):
+    if not ("xX" in word or "Xx" in word or "yY" in word or "Yy" in word):
         return word
     out: list[str] = []
     for ch in word:

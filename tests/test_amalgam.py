@@ -27,6 +27,7 @@ from goeritz.amalgam import (
     random_word,
     verify_presentation,
 )
+from goeritz.stabilizers import EDGE_GA
 
 
 def test_parse_expands_macros():
@@ -142,6 +143,16 @@ def test_syllable_and_normal_form_validation():
         NormalForm((("P", 1), ("P", 2)))
     with pytest.raises(ValueError, match="^unknown factor 'R'$"):
         NormalForm((("R", 1),))
+
+
+def test_normal_form_checks_the_type_of_its_tail():
+    with pytest.raises(TypeError, match="^tail must be an EdgeStabilizer, not str$"):
+        NormalForm((), "ga")
+    with pytest.raises(TypeError, match="^tail must be an EdgeStabilizer, not tuple$"):
+        NormalForm((("P", 1),), (1, 0))
+    with pytest.raises(TypeError, match="^tail must be an EdgeStabilizer, not NoneType$"):
+        NormalForm((), None)
+    assert NormalForm((("P", 1),), EDGE_GA).tail is EDGE_GA
 
 
 def test_list_built_normal_form_is_the_tuple_built_one():

@@ -62,6 +62,18 @@ def test_parse_and_str():
         assert str(parse_slope(text)) == text
 
 
+@pytest.mark.parametrize("value, type_name", [(5, "int"), (None, "NoneType"), (["inf"], "list")])
+def test_parse_slope_raises_type_error_for_a_non_string(value, type_name):
+    with pytest.raises(TypeError, match=f"^slope must be a string, not {type_name}$"):
+        parse_slope(value)
+
+
+def test_parse_slope_raises_value_error_for_bad_text():
+    for text in ("", "x", "1/0/2", "0/0", "inf/2"):
+        with pytest.raises(ValueError):
+            parse_slope(text)
+
+
 def test_slope_order_is_denominator_then_numerator():
     slopes = list(build(24, (-3, 3)).vertices())
     assert sorted(slopes) == sorted(slopes, key=lambda s: (s.q, s.p))

@@ -117,6 +117,15 @@ def test_to_dot_matches_the_reference_byte_for_byte():
             assert to_dot(ball(radius, max_power)) == ref.to_dot(ref.ball(radius, max_power))
 
 
+def test_to_dot_draws_a_vertex_of_an_unknown_kind_as_a_box_no_edge_meets():
+    b = ball(1, 1)
+    n = len(b.vertices)
+    lines = to_dot(b).split("\n")
+    stray = TreeBall(1, 1, b.vertices + [("edge", ())], b.edges)
+    assert to_dot(stray).split("\n") == (
+        lines[:n + 1] + [f'  v{n} [label="1", shape=box];'] + lines[n + 1:])
+
+
 def test_vertex_cap_overruns_match_the_reference():
     for radius in range(4):
         for max_power in (1, 2):
