@@ -372,7 +372,10 @@ def verify_presentation(
     consequences: int = 1000, max_len: int = 200, seed: int = 0
 ) -> PresentationReport:
     """Check that every defining relator, and a seeded sample of products
-    of conjugated relators, normalizes to the identity."""
+    of conjugated relators, normalizes to the identity.  ValueError when
+    consequences < 0."""
+    if consequences < 0:
+        raise ValueError("consequences must be >= 0")
     relator_results = [
         (name, normal_form(word).is_identity()) for name, word in DEFAULT_RELATORS
     ]

@@ -368,9 +368,13 @@ def validate(
     in the star of the base vertex.  An image that makes the adjacency
     oracle raise fails its move (or the loop or final check).  Last, the
     initial loop must be nonempty and start at the base vertex, the
-    inputs contract_loop accepts.
+    inputs contract_loop accepts.  A loop that does not iterate, or a
+    certificate without moves or final loop, fails with its reason.
     """
-    cur = list(loop)
+    try:
+        cur = list(loop)
+    except Exception as exc:  # not a sequence of vertices at all
+        return ValidationReport(False, None, f"cannot read the loop: {type(exc).__name__}")
     start = cur[:1]
     m = len(cur)
     for idx, v in enumerate(cur):
@@ -382,7 +386,11 @@ def validate(
             return ValidationReport(False, None, reason)
         if not ok:
             return ValidationReport(False, None, f"loop images at {idx}, {j} are not adjacent")
-    for idx, move in enumerate(certificate.moves):
+    try:
+        moves = list(certificate.moves)
+    except Exception as exc:  # not a certificate, or moves that do not iterate
+        return ValidationReport(False, None, f"cannot read the moves: {type(exc).__name__}")
+    for idx, move in enumerate(moves):
         m = len(cur)
         if not isinstance(move, (Relabel, Subdivide)):
             return ValidationReport(False, idx, f"unknown move {move!r}")
@@ -416,7 +424,11 @@ def validate(
             cur[move.pos] = image
         else:
             cur.insert(move.pos, image)
-    if cur != list(certificate.final):
+    try:
+        final = list(certificate.final)
+    except Exception as exc:  # not a certificate
+        return ValidationReport(False, None, f"cannot read the final loop: {type(exc).__name__}")
+    if cur != final:
         return ValidationReport(False, None, "replayed loop differs from recorded final loop")
     for v in cur:
         try:

@@ -312,14 +312,16 @@ def verify_axioms(
     """Sample random adjacency pairs in build(n, window) and check every
     clause of the blocking contract with contract.check_blocking_answer,
     plus the strict decrease after a replacement.  Violations are
-    reported verbatim, never repaired.  ValueError when samples > 0 and
-    the window holds no finite slope to sample."""
+    reported verbatim, never repaired.  ValueError when samples < 0, or
+    when samples > 0 and the window holds no finite slope to sample."""
     return _check_axioms(build(n, window), n, samples, seed, window)
 
 
 def _check_axioms(complex_: Complex, n: int, samples: int, seed: int, window: tuple) -> AxiomReport:
     """verify_axioms on an already built complex, build(n, window): its
     label table holds only vertices, sorted, so ids sort as their slopes."""
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     report = AxiomReport(n, samples)
     labels = complex_._labels
     for u in labels:

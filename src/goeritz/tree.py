@@ -12,9 +12,8 @@ is named by its representative alone.  The endpoint rule, stated in
 ``_end``: the vertex of a kind at the end of the edge ``rep`` is ``rep``
 with a trailing syllable of that kind's own side ("P" for pair, "Q" for
 triple) dropped, since that syllable moves within the same coset.
-``act`` and ``edge_endpoints`` call ``_end``; the per-edge loops of
-``ball``, ``is_tree`` and ``to_dot`` inline it, each with a comment that
-points back to it.
+``act`` and ``edge_endpoints`` call ``_end``; ``is_tree`` and ``to_dot``
+inline it in their per-edge loops, with a comment pointing back to it.
 Canonical pair representatives therefore never end in "P" and triple
 representatives never end in "Q".  Distinct canonical representatives
 name distinct cosets because normal forms are unique.
@@ -24,8 +23,11 @@ A pair vertex meets the edges g b^k H for all k (truncated to
 gH, g d H, g d^2 H.  A vertex is the plain key ``(kind, rep)`` and an
 edge is its ``rep``, everywhere: ``ball``, ``is_tree`` and ``to_dot``
 build and check no per-vertex object, and ``act`` and ``act_edge``
-check the vertex or edge they are given.  ``ball`` hashes each new key
-once, into one set of reps per vertex kind and one for the edges.
+check the vertex or edge they are given.  ``ball`` hashes no key: a
+vertex's edge ``rep`` is its edge toward the base edge, and each
+own-side syllable s adds the child and edge ``rep + (s,)``.  No key
+repeats: a vertex at depth d has a d-syllable rep, a child extends its
+parent's by one syllable, and pair children end in "Q", triple in "P".
 ``is_tree`` numbers the vertices and joins the two ends of each edge in
 a union-find forest with path halving (Tarjan, JACM 22, 1975): with one
 fewer edge than vertices, an edge that closes no cycle each time means
@@ -117,42 +119,20 @@ def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
     """
     if radius < 0 or max_power < 1:
         raise ValueError("radius must be >= 0 and max_power >= 1")
-    # the syllables a vertex appends to its rep, in ball order.  The base
-    # pair vertex, expanded first, adds a vertex for each of its syllables,
-    # so the cap is hit before 2 * cap of them and the rest go unread.
+    # the base pair vertex, expanded first, gets a child per pair syllable,
+    # so the cap is hit before 2 * cap of them and the rest go unread
     pair_side = [("P", k) for k in range(-max_power, max_power + 1)[:2 * max(cap, 1)] if k]
-    triple_side = [("Q", 1), ("Q", 2)]
     vertices = [BASE_PAIR_VERTEX, BASE_TRIPLE_VERTEX]
-    edges = [BASE_EDGE]
-    seen_pair, seen_triple, seen_e = {()}, {()}, {()}
-    frontier = vertices[:]
+    done = 0
     for _ in range(radius):
-        next_frontier = []
+        frontier, done = vertices[done:], len(vertices)  # what the last round appended
         for kind, rep in frontier:
-            if kind == PAIR:
-                other, other_side, seen_w, own_side = TRIPLE, "Q", seen_triple, pair_side
-            else:
-                other, other_side, seen_w, own_side = PAIR, "P", seen_pair, triple_side
-            # the far end of the edge rep is _end(other, rep), inlined: rep
-            # with a trailing other_side syllable dropped.  Each edge
-            # rep + (s,) ends on the own side, so it is its own far end.
-            far = rep[:-1] if rep and rep[-1][0] == other_side else rep
-            for e in (rep, *[rep + (s,) for s in own_side]):
-                size = len(seen_e)
-                seen_e.add(e)
-                if len(seen_e) > size:
-                    edges.append(e)
-                w = far if e is rep else e
-                size = len(seen_w)
-                seen_w.add(w)
-                if len(seen_w) > size:
-                    if len(vertices) >= cap:
-                        raise ValueError(f"ball exceeded vertex cap {cap}")
-                    v = (other, w)
-                    vertices.append(v)
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return TreeBall(radius, max_power, vertices, edges)
+            other, own_side = (TRIPLE, pair_side) if kind == PAIR else (PAIR, (("Q", 1), ("Q", 2)))
+            for s in own_side:
+                if len(vertices) >= cap:
+                    raise ValueError(f"ball exceeded vertex cap {cap}")
+                vertices.append((other, rep + (s,)))
+    return TreeBall(radius, max_power, vertices, [BASE_EDGE, *[rep for _, rep in vertices[2:]]])
 
 
 def act(word: str, vertex: Vertex) -> Vertex:

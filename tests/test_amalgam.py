@@ -196,3 +196,10 @@ def test_verify_presentation_report():
     assert len(report.relator_results) == 6
     assert report.consequences_checked == 100
     assert report.consequence_failures == []
+
+
+def test_verify_presentation_rejects_a_negative_consequence_count():
+    # a report of -1 checks would claim work that never ran
+    with pytest.raises(ValueError, match="^consequences must be >= 0$"):
+        verify_presentation(consequences=-1)
+    assert verify_presentation(consequences=0).consequences_checked == 0

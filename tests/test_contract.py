@@ -7,6 +7,7 @@ OracleContractViolation, and tampered certificates must fail validate.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -417,6 +418,34 @@ def test_validate_reports_input_pairs_the_oracle_rejects():
     report = validate(farey.adjacent, HomotopyCertificate([], loop), loop, farey.BASE)
     assert (report.ok, report.failed_move) == (False, None)
     assert report.reason == "adjacency oracle raised AttributeError on loop images at 0, 1"
+
+
+@pytest.mark.parametrize("bad", [None, 5, object()], ids=["None", "int", "object"])
+@pytest.mark.parametrize("field, reason", [
+    ("loop", "cannot read the loop: TypeError"),
+    ("certificate", "cannot read the moves: AttributeError"),
+], ids=["loop", "certificate"])
+def test_validate_reports_a_loop_or_certificate_it_cannot_read(field, reason, bad):
+    # validate is total: an input that is no loop or no certificate gets a
+    # report, never an exception
+    args = {"loop": [farey.BASE], "certificate": HomotopyCertificate([], [farey.BASE]), field: bad}
+    report = validate(farey.adjacent, args["certificate"], args["loop"], farey.BASE)
+    assert (report.ok, report.failed_move, report.reason) == (False, None, reason)
+
+
+def _moves_that_raise():
+    yield Relabel(0, farey.BASE, farey.BASE)
+    raise KeyError("stop")
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda: SimpleNamespace(moves=()), "cannot read the final loop: AttributeError"),
+    (lambda: SimpleNamespace(moves=_moves_that_raise(), final=(farey.BASE,)),
+     "cannot read the moves: KeyError"),
+], ids=["no final loop", "moves that raise"])
+def test_validate_reports_a_certificate_it_cannot_read_in_full(make, reason):
+    report = validate(farey.adjacent, make(), [farey.BASE], farey.BASE)
+    assert (report.ok, report.failed_move, report.reason) == (False, None, reason)
 
 
 STAR_LOOP = [farey.BASE, farey.Slope(0, 1), farey.Slope(1, 1)]

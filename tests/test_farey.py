@@ -350,6 +350,15 @@ def test_verify_axioms_on_a_window_without_finite_slopes():
     assert verify_axioms(10, 10, window=window).ok  # 1/4 and 2/7 come in at n = 4
 
 
+def test_verify_axioms_rejects_a_negative_sample_count():
+    # a report of -1 samples would claim checks that never ran
+    with pytest.raises(ValueError, match="^samples must be >= 0$"):
+        verify_axioms(3, -1, 0)
+    with pytest.raises(ValueError, match="^samples must be >= 0$"):
+        farey._check_axioms(build(3), 3, -1, 0, (0, 1))  # the CLI's entry
+    assert verify_axioms(3, 0, 0).samples == 0
+
+
 def test_cli_verify_axioms_builds_the_complex_once(monkeypatch, capsys):
     calls = []
 

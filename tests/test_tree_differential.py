@@ -1,9 +1,10 @@
 """goeritz.tree against the former coset-tree code in tests/tree_reference.py:
 the same is_tree verdicts on balls and on broken balls, byte-identical DOT
 text, the same vertex-cap overruns, and no syllable check in ball, is_tree
-or to_dot.  Two generations of the former code are compared: the checked
-vertex objects, and the plain-key loops (ball_by_keys, is_tree_by_keys)
-that ball's hash-once loop and is_tree's union-find replaced."""
+or to_dot.  Three generations of the former code are compared: the checked
+vertex objects, the plain-key loops (ball_by_keys, is_tree_by_keys) that
+is_tree's union-find replaced, and the hash-once ball loop (ball_hash_once)
+that ball's construction without seen sets replaced."""
 
 import random
 
@@ -73,7 +74,7 @@ def test_is_tree_verdicts_match_the_reference(radius, max_power):
 @pytest.mark.parametrize("radius, max_power", WORKLOAD_BALLS)
 def test_ball_matches_the_plain_key_loop_in_order(radius, max_power):
     got, want = ball(radius, max_power), ref.ball_by_keys(radius, max_power)
-    assert got == want  # radius, max_power, and both lists in order
+    assert got == want == ref.ball_hash_once(radius, max_power)  # both lists in order
     assert is_tree(got) and ref.is_tree_by_keys(got)
 
 
@@ -107,8 +108,9 @@ def test_every_vertex_cap_overrun_matches_the_plain_key_loop():
         for max_power in sorted(p for p in powers if p >= 1):
             for radius in range(4):
                 got = _outcome(ball, radius, max_power, cap)
-                assert got == _outcome(ref.ball_by_keys, radius, max_power, cap), (
-                    radius, max_power, cap)
+                for build in (ref.ball_by_keys, ref.ball_hash_once):
+                    assert got == _outcome(build, radius, max_power, cap), (
+                        build.__name__, radius, max_power, cap)
 
 
 def test_to_dot_matches_the_reference_byte_for_byte():

@@ -12,8 +12,9 @@
 # `CosetVertex`, `TreeEdge`, `_end` and the three base constructors are
 # verbatim copies of the checked vertex and edge classes that goeritz.tree
 # had before its vertices and edges became plain (kind, rep) and rep keys.
-# `_incident`, `ball_by_keys` and `is_tree_by_keys`, at the end, are the
-# plain-key loops that came after them.
+# `_incident`, `ball_by_keys` and `is_tree_by_keys`, near the end, are the
+# plain-key loops that came after them, and `ball_hash_once`, last, is the
+# ball loop that came after those.
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from goeritz.amalgam import check_syllables
-from goeritz.tree import PAIR, TRIPLE, TreeBall
+from goeritz.tree import BASE_EDGE, BASE_PAIR_VERTEX, BASE_TRIPLE_VERTEX, PAIR, TRIPLE, TreeBall
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,3 +243,55 @@ def is_tree_by_keys(b: TreeBall) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(b.vertices)
+
+
+# The ball that followed ball_by_keys and came before ball built its tree
+# by construction, kept verbatim but for its name: it hashes each new key
+# once, into one set of reps per vertex kind and one for the edges, and
+# inlines _end for the far end of each vertex's own edge.
+
+
+def ball_hash_once(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
+    """Breadth-first ball of the given radius around the base edge.
+
+    Pair-vertex expansion is truncated to |k| <= max_power.  Raises
+    ValueError if the vertex count exceeds the cap.
+    """
+    if radius < 0 or max_power < 1:
+        raise ValueError("radius must be >= 0 and max_power >= 1")
+    # the syllables a vertex appends to its rep, in ball order.  The base
+    # pair vertex, expanded first, adds a vertex for each of its syllables,
+    # so the cap is hit before 2 * cap of them and the rest go unread.
+    pair_side = [("P", k) for k in range(-max_power, max_power + 1)[:2 * max(cap, 1)] if k]
+    triple_side = [("Q", 1), ("Q", 2)]
+    vertices = [BASE_PAIR_VERTEX, BASE_TRIPLE_VERTEX]
+    edges = [BASE_EDGE]
+    seen_pair, seen_triple, seen_e = {()}, {()}, {()}
+    frontier = vertices[:]
+    for _ in range(radius):
+        next_frontier = []
+        for kind, rep in frontier:
+            if kind == PAIR:
+                other, other_side, seen_w, own_side = TRIPLE, "Q", seen_triple, pair_side
+            else:
+                other, other_side, seen_w, own_side = PAIR, "P", seen_pair, triple_side
+            # the far end of the edge rep is _end(other, rep), inlined: rep
+            # with a trailing other_side syllable dropped.  Each edge
+            # rep + (s,) ends on the own side, so it is its own far end.
+            far = rep[:-1] if rep and rep[-1][0] == other_side else rep
+            for e in (rep, *[rep + (s,) for s in own_side]):
+                size = len(seen_e)
+                seen_e.add(e)
+                if len(seen_e) > size:
+                    edges.append(e)
+                w = far if e is rep else e
+                size = len(seen_w)
+                seen_w.add(w)
+                if len(seen_w) > size:
+                    if len(vertices) >= cap:
+                        raise ValueError(f"ball exceeded vertex cap {cap}")
+                    v = (other, w)
+                    vertices.append(v)
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return TreeBall(radius, max_power, vertices, edges)
