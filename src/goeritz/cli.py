@@ -227,7 +227,7 @@ def _cmd_simplicial(args: argparse.Namespace) -> int:
         "edges": edges,
         "triangles": triangles,
         "output": args.output,
-        "complex": json.loads(text) if not args.output else None,
+        "complex": out.to_json_dict() if not args.output else None,
     }
     _emit(args, lines, payload)
     return 0

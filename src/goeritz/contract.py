@@ -366,9 +366,10 @@ def validate(
     images; each subdivision must be adjacent to both flanking images;
     the replayed loop must equal the recorded final loop, which must lie
     in the star of the base vertex.  An image that makes the adjacency
-    oracle raise fails its move (or the loop or final check).  Last, the
-    initial loop must be nonempty and start at the base vertex, the
-    inputs contract_loop accepts.  A loop that does not iterate, or a
+    oracle raise, or whose comparison with another image raises, fails
+    its move (or the loop, final or start check).  Last, the initial loop
+    must be nonempty and start at the base vertex, the inputs
+    contract_loop accepts.  A loop that does not iterate, or a
     certificate without moves or final loop, fails with its reason.
     """
     try:
@@ -399,7 +400,12 @@ def validate(
         if isinstance(move, Relabel):
             if not 0 <= move.pos < m:
                 return ValidationReport(False, idx, f"relabel position {move.pos} out of range")
-            if cur[move.pos] != move.old:
+            try:
+                moved = bool(cur[move.pos] != move.old)
+            except Exception as exc:  # the old image comes from the certificate
+                reason = f"comparing images raised {type(exc).__name__} on {move!r}"
+                return ValidationReport(False, idx, reason)
+            if moved:
                 return ValidationReport(
                     False, idx, f"relabel expected {move.old!r} at {move.pos}, found {cur[move.pos]!r}"
                 )
@@ -428,7 +434,12 @@ def validate(
         final = list(certificate.final)
     except Exception as exc:  # not a certificate
         return ValidationReport(False, None, f"cannot read the final loop: {type(exc).__name__}")
-    if cur != final:
+    try:
+        differs = bool(cur != final)
+    except Exception as exc:  # either loop may hold an image that cannot compare
+        reason = f"comparing images raised {type(exc).__name__} on the replayed and final loops"
+        return ValidationReport(False, None, reason)
+    if differs:
         return ValidationReport(False, None, "replayed loop differs from recorded final loop")
     for v in cur:
         try:
@@ -440,6 +451,11 @@ def validate(
             return ValidationReport(False, None, f"final image {v!r} outside the base star")
     if not start:
         return ValidationReport(False, None, "loop must be nonempty")
-    if start[0] != base:
+    try:
+        off_base = bool(start[0] != base)
+    except Exception as exc:  # the input loop may hold a non-vertex
+        reason = f"comparing images raised {type(exc).__name__} on the first image and the base"
+        return ValidationReport(False, None, reason)
+    if off_base:
         return ValidationReport(False, None, "loop must start at the base vertex")
     return ValidationReport(True)

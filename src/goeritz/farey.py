@@ -314,6 +314,8 @@ def verify_axioms(
     plus the strict decrease after a replacement.  Violations are
     reported verbatim, never repaired.  ValueError when samples < 0, or
     when samples > 0 and the window holds no finite slope to sample."""
+    if samples < 0:  # refused before the build, as _check_axioms refuses it
+        raise ValueError("samples must be >= 0")
     return _check_axioms(build(n, window), n, samples, seed, window)
 
 

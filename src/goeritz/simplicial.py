@@ -210,22 +210,10 @@ class Complex:
         return neighbours, edges
 
     def _components(self) -> int:
-        """Connected components, counted in one union-find pass (path halving) over ids."""
-        parent = list(range(len(self._labels)))
-        parts = 0
-        for s in self._simplices:
-            if len(s) == 1:
-                parts += 1
-            elif len(s) == 2:
-                p, q = s
-                while p != (up := parent[p]):
-                    parent[p] = p = parent[up]
-                while q != (up := parent[q]):
-                    parent[q] = q = parent[up]
-                if p != q:
-                    parent[q] = p
-                    parts -= 1
-        return parts
+        """Connected components: the vertices, less the edges that join two parts."""
+        simplices = self._simplices
+        vertices = sum(len(s) == 1 for s in simplices)
+        return vertices - _joins(len(self._labels), [s for s in simplices if len(s) == 2])
 
     def is_connected(self) -> bool:
         return self._components() <= 1
@@ -302,6 +290,26 @@ class Complex:
         except RecursionError:  # the decoder recurses once per nesting level
             raise ValueError("JSON nested too deeply") from None
         return cls.from_json_dict(data)
+
+
+def _joins(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """How many edges join two parts of the forest on the ids 0..n-1: one
+    union-find pass with path halving (Tarjan, JACM 22, 1975), the later
+    root under the earlier, so ids in breadth-first order stay flat."""
+    parent = list(range(n))
+    joins = 0
+    for p, q in edges:
+        while p != (up := parent[p]):
+            parent[p] = p = parent[up]
+        while q != (up := parent[q]):
+            parent[q] = q = parent[up]
+        if p != q:
+            joins += 1
+            if p < q:
+                parent[q] = p
+            else:
+                parent[p] = q
+    return joins
 
 
 def _from_ids(labels: tuple, simplices: Iterable[tuple]) -> Complex:

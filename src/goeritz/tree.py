@@ -12,8 +12,8 @@ is named by its representative alone.  The endpoint rule, stated in
 ``_end``: the vertex of a kind at the end of the edge ``rep`` is ``rep``
 with a trailing syllable of that kind's own side ("P" for pair, "Q" for
 triple) dropped, since that syllable moves within the same coset.
-``act`` and ``edge_endpoints`` call ``_end``; ``is_tree`` and ``to_dot``
-inline it in their per-edge loops, with a comment pointing back to it.
+``act`` and ``edge_endpoints`` call ``_end``; ``_edge_ends``, which
+``is_tree`` and ``to_dot`` read, inlines it once.
 Canonical pair representatives therefore never end in "P" and triple
 representatives never end in "Q".  Distinct canonical representatives
 name distinct cosets because normal forms are unique.
@@ -28,18 +28,18 @@ vertex's edge ``rep`` is its edge toward the base edge, and each
 own-side syllable s adds the child and edge ``rep + (s,)``.  No key
 repeats: a vertex at depth d has a d-syllable rep, a child extends its
 parent's by one syllable, and pair children end in "Q", triple in "P".
-``is_tree`` numbers the vertices and joins the two ends of each edge in
-a union-find forest with path halving (Tarjan, JACM 22, 1975): with one
-fewer edge than vertices, an edge that closes no cycle each time means
-the graph is connected, so no neighbour list or search is needed.
+``is_tree`` counts the edges that join two parts with
+``simplicial._joins``, the union-find the complexes use too.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 from .amalgam import NormalForm, mul_nf, nf_to_word, normal_form
+from .simplicial import _joins
 
 __all__ = [
     "PAIR",
@@ -155,44 +155,29 @@ def act_edge(word: str, rep: Rep) -> Rep:
     return mul_nf(normal_form(word), NormalForm(rep)).syllables
 
 
+def _edge_ends(b: TreeBall) -> Iterator[tuple[int, int]]:
+    """The positions in ``b.vertices`` of the pair and triple ends of each
+    edge, lazily, ``_end`` inlined; KeyError on reaching an end outside the
+    ball.  A repeated vertex is numbered at its last position."""
+    ids: defaultdict[str, dict[Rep, int]] = defaultdict(dict)
+    for i, (kind, rep) in enumerate(b.vertices):
+        ids[kind][rep] = i
+    pair_ids, triple_ids = ids[PAIR], ids[TRIPLE]
+    return ((pair_ids[e[:-1] if (side := e[-1][0] if e else "") == "P" else e],
+             triple_ids[e[:-1] if side == "Q" else e]) for e in b.edges)
+
+
 def is_tree(b: TreeBall) -> bool:
     """Connected, one fewer edge than vertices, and no edge leaving the ball."""
-    vertices = b.vertices
-    if len(b.edges) != len(vertices) - 1:
+    n = len(b.vertices)
+    if len(b.edges) != n - 1:
         return False
-    ids: dict[str, dict[Rep, int]] = {PAIR: {}, TRIPLE: {}}
+    # n - 1 edges connect n vertices exactly when each joins two parts; a
+    # vertex no edge ends at (an earlier copy, an unknown kind) stays apart
     try:
-        for i, (kind, rep) in enumerate(vertices):
-            ids[kind][rep] = i
-    except KeyError:  # a kind no edge meets: a tree only as the one vertex
-        return len(vertices) == 1
-    pair_ids, triple_ids = ids[PAIR], ids[TRIPLE]
-    if len(pair_ids) + len(triple_ids) != len(vertices):  # a duplicate vertex
+        return _joins(n, _edge_ends(b)) == n - 1
+    except KeyError:  # an endpoint outside the ball
         return False
-    # union-find with path halving; V - 1 edges closing no cycle connect V
-    # vertices, so a cycle is the only way left to fail
-    parent = list(range(len(vertices)))
-    for e in b.edges:
-        # the two ends are _end(PAIR, e) and _end(TRIPLE, e), inlined
-        side = e[-1][0] if e else ""
-        try:
-            p = pair_ids[e[:-1] if side == "P" else e]
-            q = triple_ids[e[:-1] if side == "Q" else e]
-        except KeyError:  # an endpoint outside the ball
-            return False
-        # path halving: each step moves p and its parent link to the grandparent
-        while p != (up := parent[p]):
-            parent[p] = p = parent[up]
-        while q != (up := parent[q]):
-            parent[q] = q = parent[up]
-        if p == q:
-            return False
-        # the later root joins the earlier, so a ball in BFS order stays flat
-        if p < q:
-            parent[q] = p
-        else:
-            parent[p] = q
-    return True
 
 
 @dataclass
@@ -240,18 +225,10 @@ def to_dot(b: TreeBall) -> str:
     """GraphViz rendering: pair vertices are circles, triple vertices boxes.
     The vertex at position i of the ball is node v<i>; a vertex of any
     other kind is drawn as a box and meets no edge."""
-    ids: defaultdict[str, dict[Rep, str]] = defaultdict(dict)
     lines = ["graph coset_tree {"]
     for i, (kind, rep) in enumerate(b.vertices):
-        ids[kind][rep] = node = f"v{i}"
         shape = "circle" if kind == PAIR else "box"
-        lines.append(f'  {node} [label="{_rep_label(rep)}", shape={shape}];')
-    pair_ids, triple_ids = ids[PAIR], ids[TRIPLE]
-    for e in b.edges:
-        # the two ends are _end(PAIR, e) and _end(TRIPLE, e), inlined
-        side = e[-1][0] if e else ""
-        p = pair_ids[e[:-1] if side == "P" else e]
-        q = triple_ids[e[:-1] if side == "Q" else e]
-        lines.append(f"  {p} -- {q};")
+        lines.append(f'  v{i} [label="{_rep_label(rep)}", shape={shape}];')
+    lines += [f"  v{p} -- v{q};" for p, q in _edge_ends(b)]
     lines.append("}")
     return "\n".join(lines)

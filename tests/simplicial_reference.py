@@ -11,8 +11,9 @@
 # are copied with them.  `has`, `dim`, `adjacent`, `star`, `link`,
 # `is_flag`, `euler_characteristic`, `is_connected` and
 # `is_acyclic_graph` are the frozenset-of-labels versions that
-# goeritz.simplicial had before it moved onto int vertex ids.  Stdlib
-# only: nothing here imports goeritz.simplicial.
+# goeritz.simplicial had before it moved onto int vertex ids.
+# `components_union_find`, last, is the union-find component count it had
+# on those ids.  Stdlib only: nothing here imports goeritz.simplicial.
 
 from __future__ import annotations
 
@@ -229,3 +230,27 @@ def remove_open_stars(subdivision: Complex, original_vertices: Iterable[Label]) 
     removed = {(v,) for v in original_vertices}
     keep = [u for u in subdivision.vertices() if u not in removed]
     return subdivision.full_subcomplex(keep)
+
+
+# The component count goeritz.simplicial.Complex had before it shared its
+# union-find with goeritz.tree, kept verbatim but for its name: a function
+# of a goeritz Complex, whose label table and int-id simplex set it reads.
+
+
+def components_union_find(self) -> int:
+    """Connected components, counted in one union-find pass (path halving) over ids."""
+    parent = list(range(len(self._labels)))
+    parts = 0
+    for s in self._simplices:
+        if len(s) == 1:
+            parts += 1
+        elif len(s) == 2:
+            p, q = s
+            while p != (up := parent[p]):
+                parent[p] = p = parent[up]
+            while q != (up := parent[q]):
+                parent[q] = q = parent[up]
+            if p != q:
+                parent[q] = p
+                parts -= 1
+    return parts

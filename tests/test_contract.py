@@ -448,6 +448,35 @@ def test_validate_reports_a_certificate_it_cannot_read_in_full(make, reason):
     assert (report.ok, report.failed_move, report.reason) == (False, None, reason)
 
 
+class Uncomparable:
+    """An image whose == raises, as an image from outside may."""
+
+    def __eq__(self, other):
+        raise RuntimeError("no comparison")
+
+
+UNCOMPARABLE = Uncomparable()
+UNCOMPARABLE_RELABEL = Relabel(0, UNCOMPARABLE, farey.BASE)
+
+
+# each case trips one comparison: the old image of a relabel, the replayed
+# against the recorded final loop, the first image against the base
+@pytest.mark.parametrize("cert, loop, failed_move, reason", [
+    pytest.param(HomotopyCertificate([UNCOMPARABLE_RELABEL], [farey.BASE]), [farey.BASE], 0,
+                 f"comparing images raised RuntimeError on {UNCOMPARABLE_RELABEL!r}",
+                 id="relabel old image"),
+    pytest.param(HomotopyCertificate([], [UNCOMPARABLE]), [farey.BASE], None,
+                 "comparing images raised RuntimeError on the replayed and final loops",
+                 id="final loop"),
+    pytest.param(HomotopyCertificate([], [UNCOMPARABLE]), [UNCOMPARABLE], None,
+                 "comparing images raised RuntimeError on the first image and the base",
+                 id="first image"),
+])
+def test_validate_reports_images_whose_comparison_raises(cert, loop, failed_move, reason):
+    report = validate(lambda u, v: True, cert, loop, farey.BASE)
+    assert (report.ok, report.failed_move, report.reason) == (False, failed_move, reason)
+
+
 STAR_LOOP = [farey.BASE, farey.Slope(0, 1), farey.Slope(1, 1)]
 
 

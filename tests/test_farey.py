@@ -359,6 +359,15 @@ def test_verify_axioms_rejects_a_negative_sample_count():
     assert verify_axioms(3, 0, 0).samples == 0
 
 
+def test_verify_axioms_refuses_a_negative_sample_count_before_building(monkeypatch):
+    def build_fails(n, window=(0, 1)):
+        raise AssertionError("built a complex for a refused sample count")
+
+    monkeypatch.setattr(farey, "build", build_fails)
+    with pytest.raises(ValueError, match="^samples must be >= 0$"):
+        verify_axioms(128, -1)
+
+
 def test_cli_verify_axioms_builds_the_complex_once(monkeypatch, capsys):
     calls = []
 

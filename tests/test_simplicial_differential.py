@@ -151,7 +151,8 @@ def test_every_query_matches_reference_on_complex_and_subdivision(raw, data):
 def test_connectivity_matches_reference_on_subcomplexes(raw):
     """is_connected and is_acyclic_graph on the empty complex, isolated
     vertices, cycles and trees, and on every star, link, full subcomplex
-    and pared subdivision of them, whose label tables hold non-vertices."""
+    and pared subdivision of them, whose label tables hold non-vertices;
+    the component counts also match the former union-find count."""
     new, old = Complex(raw), ref.Complex(raw)
     new_sd, old_sd = new.barycentric(), old.barycentric()
     pairs = [(new, old), (new_sd, old_sd),
@@ -163,6 +164,7 @@ def test_connectivity_matches_reference_on_subcomplexes(raw):
     for a, b in pairs:
         assert a.simplices() == b.simplices()
         assert a.is_connected() == b.is_connected()
+        assert a._components() == ref.components_union_find(a) == len(b._components())
         assert _outcome(a.is_acyclic_graph) == _outcome(b.is_acyclic_graph)
     if raw:
         assert any(len(a._labels) > len(a.vertices()) for a, _ in pairs)

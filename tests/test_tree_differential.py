@@ -1,10 +1,11 @@
 """goeritz.tree against the former coset-tree code in tests/tree_reference.py:
 the same is_tree verdicts on balls and on broken balls, byte-identical DOT
 text, the same vertex-cap overruns, and no syllable check in ball, is_tree
-or to_dot.  Three generations of the former code are compared: the checked
+or to_dot.  Four generations of the former code are compared: the checked
 vertex objects, the plain-key loops (ball_by_keys, is_tree_by_keys) that
-is_tree's union-find replaced, and the hash-once ball loop (ball_hash_once)
-that ball's construction without seen sets replaced."""
+is_tree's union-find replaced, the hash-once ball loop (ball_hash_once)
+that ball's construction without seen sets replaced, and the is_tree with
+its own union-find (is_tree_union_find) that the shared one replaced."""
 
 import random
 
@@ -66,7 +67,8 @@ def test_is_tree_verdicts_match_the_reference(radius, max_power):
     verdicts = set()
     for name, b in _mutants(ball(radius, max_power), rng):
         got, want = is_tree(b), ref.is_tree(_as_reference(b))
-        assert got == want == ref.is_tree_by_keys(b), (radius, max_power, name)
+        assert got == want == ref.is_tree_by_keys(b) == ref.is_tree_union_find(b), (
+            radius, max_power, name)
         verdicts.add(got)
     assert verdicts == {True, False}
 
@@ -90,7 +92,8 @@ def test_is_tree_on_vertices_no_ball_holds_matches_the_plain_key_loop():
             (b.vertices[:-1] + [stray], b.edges),
         ]:
             mutant = TreeBall(1, 1, vertices, edges)
-            assert is_tree(mutant) == ref.is_tree_by_keys(mutant), (stray, vertices, edges)
+            got, want = is_tree(mutant), ref.is_tree_by_keys(mutant)
+            assert got == want == ref.is_tree_union_find(mutant), (stray, vertices, edges)
 
 
 def _outcome(build, radius, max_power, cap):

@@ -13,8 +13,9 @@
 # verbatim copies of the checked vertex and edge classes that goeritz.tree
 # had before its vertices and edges became plain (kind, rep) and rep keys.
 # `_incident`, `ball_by_keys` and `is_tree_by_keys`, near the end, are the
-# plain-key loops that came after them, and `ball_hash_once`, last, is the
-# ball loop that came after those.
+# plain-key loops that came after them, `ball_hash_once` is the ball loop
+# that came after those, and `is_tree_union_find`, last, is the union-find
+# is_tree that followed is_tree_by_keys.
 
 from __future__ import annotations
 
@@ -295,3 +296,49 @@ def ball_hash_once(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
                     next_frontier.append(v)
         frontier = next_frontier
     return TreeBall(radius, max_power, vertices, edges)
+
+
+# The is_tree that followed is_tree_by_keys and came before is_tree shared
+# its union-find with goeritz.simplicial, kept verbatim but for its name:
+# it numbers the vertices, inlines _end for both ends of each edge and runs
+# its own union-find with path halving.
+
+
+def is_tree_union_find(b: TreeBall) -> bool:
+    """Connected, one fewer edge than vertices, and no edge leaving the ball."""
+    vertices = b.vertices
+    if len(b.edges) != len(vertices) - 1:
+        return False
+    ids: dict[str, dict[Rep, int]] = {PAIR: {}, TRIPLE: {}}
+    try:
+        for i, (kind, rep) in enumerate(vertices):
+            ids[kind][rep] = i
+    except KeyError:  # a kind no edge meets: a tree only as the one vertex
+        return len(vertices) == 1
+    pair_ids, triple_ids = ids[PAIR], ids[TRIPLE]
+    if len(pair_ids) + len(triple_ids) != len(vertices):  # a duplicate vertex
+        return False
+    # union-find with path halving; V - 1 edges closing no cycle connect V
+    # vertices, so a cycle is the only way left to fail
+    parent = list(range(len(vertices)))
+    for e in b.edges:
+        # the two ends are _end(PAIR, e) and _end(TRIPLE, e), inlined
+        side = e[-1][0] if e else ""
+        try:
+            p = pair_ids[e[:-1] if side == "P" else e]
+            q = triple_ids[e[:-1] if side == "Q" else e]
+        except KeyError:  # an endpoint outside the ball
+            return False
+        # path halving: each step moves p and its parent link to the grandparent
+        while p != (up := parent[p]):
+            parent[p] = p = parent[up]
+        while q != (up := parent[q]):
+            parent[q] = q = parent[up]
+        if p == q:
+            return False
+        # the later root joins the earlier, so a ball in BFS order stays flat
+        if p < q:
+            parent[q] = p
+        else:
+            parent[p] = q
+    return True
