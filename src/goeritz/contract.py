@@ -201,6 +201,21 @@ def _json_array(items: list[str]) -> str:
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
+def _shown(x) -> str:
+    """repr(x), or a stand-in naming the error when that repr raises.
+
+    >>> class R:
+    ...     def __repr__(self):
+    ...         raise RuntimeError("no repr")
+    >>> _shown(R())
+    '<R: repr raised RuntimeError>'
+    """
+    try:
+        return repr(x)
+    except Exception as exc:
+        return f"<{type(x).__name__}: repr raised {type(exc).__name__}>"
+
+
 def check_blocking_answer(
     adjacent: Adjacency,
     remoteness: Remoteness,
@@ -218,33 +233,33 @@ def check_blocking_answer(
     ['b=0 witness 1 not adjacent to neighbour image 3']
     """
     if value < 0:
-        return [f"negative blocking value {value!r}"]
+        return [f"negative blocking value {_shown(value)}"]
     if value == 0:
         w = witness
         problems = []
         if not adjacent(w, v):
-            problems.append(f"b=0 witness {w!r} not adjacent to {v!r}")
+            problems.append(f"b=0 witness {_shown(w)} not adjacent to {_shown(v)}")
         if remoteness(w) >= remoteness(v):
-            problems.append(f"b=0 witness {w!r} does not lower remoteness below {v!r}")
+            problems.append(f"b=0 witness {_shown(w)} does not lower remoteness below {_shown(v)}")
         for u in x:
             if not adjacent(u, w):
-                problems.append(f"b=0 witness {w!r} not adjacent to neighbour image {u!r}")
+                problems.append(f"b=0 witness {_shown(w)} not adjacent to neighbour image {_shown(u)}")
         return problems
     try:
         vp, wp = witness
     except (TypeError, ValueError):
-        return [f"b>0 witness {witness!r} is not a pair (v', w')"]
+        return [f"b>0 witness {_shown(witness)} is not a pair (v', w')"]
     if vp not in x:
         # every other clause is about v', so they say nothing here
-        return [f"b>0 witness member {vp!r} is not a neighbour image"]
+        return [f"b>0 witness member {_shown(vp)} is not a neighbour image"]
     problems = []
     if remoteness(wp) >= remoteness(vp):
-        problems.append(f"b>0 replacement {wp!r} does not lower remoteness below {vp!r}")
+        problems.append(f"b>0 replacement {_shown(wp)} does not lower remoteness below {_shown(vp)}")
     for u in x:
         if adjacent(u, vp) and not adjacent(u, wp):
-            problems.append(f"b>0 replacement {wp!r} misses neighbour {u!r} of {vp!r}")
+            problems.append(f"b>0 replacement {_shown(wp)} misses neighbour {_shown(u)} of {_shown(vp)}")
     if not adjacent(wp, v):
-        problems.append(f"b>0 replacement {wp!r} not adjacent to active image {v!r}")
+        problems.append(f"b>0 replacement {_shown(wp)} not adjacent to active image {_shown(v)}")
     return problems
 
 
@@ -275,10 +290,10 @@ def contract_loop(
     def remote_checked(v: Vertex) -> int:
         r = remoteness(v)
         if r < 0:
-            raise OracleContractViolation(f"negative remoteness {r} at {v!r}")
+            raise OracleContractViolation(f"negative remoteness {_shown(r)} at {_shown(v)}")
         if r == 0 and not adjacent(v, base):
             raise OracleContractViolation(
-                f"remoteness 0 at {v!r} which is not adjacent to the base"
+                f"remoteness 0 at {_shown(v)} which is not adjacent to the base"
             )
         return r
 
@@ -306,12 +321,12 @@ def contract_loop(
         measure = (n, count, value)
         if prev_measure is not None and not measure < prev_measure:
             raise OracleContractViolation(
-                f"progress measure did not decrease: {prev_measure} -> {measure}"
+                f"progress measure did not decrease: {_shown(prev_measure)} -> {_shown(measure)}"
             )
         prev_measure = measure
         if fuel <= 0:
             raise FuelExhausted(
-                f"fuel exhausted with {m} positions at max remoteness {n}"
+                f"fuel exhausted with {m} positions at max remoteness {_shown(n)}"
             )
         fuel -= 1
         problems = check_blocking_answer(adjacent, remote_known, x_pair, v, value, witness)
@@ -365,97 +380,68 @@ def validate(
     relabel must stay adjacent to the old image and to both neighbouring
     images; each subdivision must be adjacent to both flanking images;
     the replayed loop must equal the recorded final loop, which must lie
-    in the star of the base vertex.  An image that makes the adjacency
-    oracle raise, or whose comparison with another image raises, fails
-    its move (or the loop, final or start check).  Last, the initial loop
-    must be nonempty and start at the base vertex, the inputs
-    contract_loop accepts.  A loop that does not iterate, or a
-    certificate without moves or final loop, fails with its reason.
+    in the star of the base vertex.  Last, the initial loop must be
+    nonempty and start at the base vertex, the inputs contract_loop
+    accepts.  validate is total: whatever raises on the way fails the
+    move or the check at hand, with a reason that names the error.
     """
+    failed = move = v = idx = j = None  # what the handler reports
+    raised = "cannot read the loop: {e}"  # the reason if the next step raises
     try:
         cur = list(loop)
-    except Exception as exc:  # not a sequence of vertices at all
-        return ValidationReport(False, None, f"cannot read the loop: {type(exc).__name__}")
-    start = cur[:1]
-    m = len(cur)
-    for idx, v in enumerate(cur):
-        j = (idx + 1) % m
-        try:
-            ok = adjacent(v, cur[j])
-        except Exception as exc:  # the input loop may hold a non-vertex
-            reason = f"adjacency oracle raised {type(exc).__name__} on loop images at {idx}, {j}"
-            return ValidationReport(False, None, reason)
-        if not ok:
-            return ValidationReport(False, None, f"loop images at {idx}, {j} are not adjacent")
-    try:
-        moves = list(certificate.moves)
-    except Exception as exc:  # not a certificate, or moves that do not iterate
-        return ValidationReport(False, None, f"cannot read the moves: {type(exc).__name__}")
-    for idx, move in enumerate(moves):
-        m = len(cur)
-        if not isinstance(move, (Relabel, Subdivide)):
-            return ValidationReport(False, idx, f"unknown move {move!r}")
-        if type(move.pos) is not int:  # a bool is an int, and True == 1
-            return ValidationReport(False, idx, f"move position {move.pos!r} is not an integer")
-        if isinstance(move, Relabel):
-            if not 0 <= move.pos < m:
-                return ValidationReport(False, idx, f"relabel position {move.pos} out of range")
-            try:
-                moved = bool(cur[move.pos] != move.old)
-            except Exception as exc:  # the old image comes from the certificate
-                reason = f"comparing images raised {type(exc).__name__} on {move!r}"
-                return ValidationReport(False, idx, reason)
-            if moved:
-                return ValidationReport(
-                    False, idx, f"relabel expected {move.old!r} at {move.pos}, found {cur[move.pos]!r}"
-                )
-            what, image = "relabel image", move.new
-            others = (move.old, cur[(move.pos - 1) % m], cur[(move.pos + 1) % m])
-        else:
-            if not 1 <= move.pos <= m:
-                return ValidationReport(
-                    False, idx, f"subdivide position {move.pos} out of range"
-                )
-            what, image = "inserted image", move.insert
-            others = (cur[move.pos - 1], cur[move.pos % m])
-        for u in others:
-            try:
-                ok = adjacent(image, u)
-            except Exception as exc:  # the image comes from the certificate, maybe not a vertex
-                reason = f"adjacency oracle raised {type(exc).__name__} on {move!r}"
-                return ValidationReport(False, idx, reason)
-            if not ok:
-                return ValidationReport(False, idx, f"{what} {image!r} not adjacent to {u!r}")
-        if isinstance(move, Relabel):
-            cur[move.pos] = image
-        else:
-            cur.insert(move.pos, image)
-    try:
+        start, m = cur[:1], len(cur)
+        raised = "adjacency oracle raised {e} on loop images at {idx}, {j}"
+        for idx, v in enumerate(cur):
+            j = (idx + 1) % m
+            if not adjacent(v, cur[j]):
+                return ValidationReport(False, None, f"loop images at {idx}, {j} are not adjacent")
+        raised = "cannot read the moves: {e}"
+        for failed, move in enumerate(list(certificate.moves)):
+            raised = "cannot read the move: {e}"
+            if not isinstance(move, (Relabel, Subdivide)):
+                return ValidationReport(False, failed, f"unknown move {_shown(move)}")
+            m, pos = len(cur), move.pos
+            if type(pos) is not int:  # a bool is an int, and True == 1
+                reason = f"move position {_shown(pos)} is not an integer"
+                return ValidationReport(False, failed, reason)
+            if isinstance(move, Relabel):
+                if not 0 <= pos < m:
+                    return ValidationReport(False, failed, f"relabel position {pos} out of range")
+                raised = "comparing images raised {e} on {move}"
+                if cur[pos] != move.old:
+                    reason = f"relabel expected {_shown(move.old)} at {pos}, found {_shown(cur[pos])}"
+                    return ValidationReport(False, failed, reason)
+                what, image = "relabel image", move.new
+                others = (move.old, cur[(pos - 1) % m], cur[(pos + 1) % m])
+            else:
+                if not 1 <= pos <= m:
+                    return ValidationReport(False, failed, f"subdivide position {pos} out of range")
+                what, image = "inserted image", move.insert
+                others = (cur[pos - 1], cur[pos % m])
+            raised = "adjacency oracle raised {e} on {move}"
+            for u in others:
+                if not adjacent(image, u):
+                    reason = f"{what} {_shown(image)} not adjacent to {_shown(u)}"
+                    return ValidationReport(False, failed, reason)
+            if isinstance(move, Relabel):
+                cur[pos] = image
+            else:
+                cur.insert(pos, image)
+        failed, raised = None, "cannot read the final loop: {e}"
         final = list(certificate.final)
-    except Exception as exc:  # not a certificate
-        return ValidationReport(False, None, f"cannot read the final loop: {type(exc).__name__}")
-    try:
-        differs = bool(cur != final)
-    except Exception as exc:  # either loop may hold an image that cannot compare
-        reason = f"comparing images raised {type(exc).__name__} on the replayed and final loops"
-        return ValidationReport(False, None, reason)
-    if differs:
-        return ValidationReport(False, None, "replayed loop differs from recorded final loop")
-    for v in cur:
-        try:
-            ok = adjacent(v, base)
-        except Exception as exc:  # the input loop may hold a non-vertex
-            reason = f"adjacency oracle raised {type(exc).__name__} on final image {v!r}"
-            return ValidationReport(False, None, reason)
-        if not ok:
-            return ValidationReport(False, None, f"final image {v!r} outside the base star")
-    if not start:
-        return ValidationReport(False, None, "loop must be nonempty")
-    try:
-        off_base = bool(start[0] != base)
-    except Exception as exc:  # the input loop may hold a non-vertex
-        reason = f"comparing images raised {type(exc).__name__} on the first image and the base"
-        return ValidationReport(False, None, reason)
-    if off_base:
-        return ValidationReport(False, None, "loop must start at the base vertex")
+        raised = "comparing images raised {e} on the replayed and final loops"
+        if cur != final:
+            return ValidationReport(False, None, "replayed loop differs from recorded final loop")
+        raised = "adjacency oracle raised {e} on final image {v}"
+        for v in cur:
+            if not adjacent(v, base):
+                return ValidationReport(False, None, f"final image {_shown(v)} outside the base star")
+        if not start:
+            return ValidationReport(False, None, "loop must be nonempty")
+        raised = "comparing images raised {e} on the first image and the base"
+        if start[0] != base:
+            return ValidationReport(False, None, "loop must start at the base vertex")
+    except Exception as exc:
+        shown = {"move": _shown(move), "v": _shown(v), "idx": idx, "j": j}
+        return ValidationReport(False, failed, raised.format(e=type(exc).__name__, **shown))
     return ValidationReport(True)

@@ -477,6 +477,94 @@ def test_validate_reports_images_whose_comparison_raises(cert, loop, failed_move
     assert (report.ok, report.failed_move, report.reason) == (False, failed_move, reason)
 
 
+class Unshowable:
+    """An image whose repr raises, as an image from outside may."""
+
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+class Opaque(Uncomparable, Unshowable):
+    """An image whose == and repr both raise."""
+
+
+class Truthless:
+    """An oracle answer whose truth value raises."""
+
+    def __bool__(self):
+        raise RuntimeError("no truth value")
+
+
+UNSHOWABLE = Unshowable()
+SHOWN = "<Unshowable: repr raised RuntimeError>"
+
+
+def identical(u, v):
+    return u is v
+
+
+# each case puts an image whose repr raises, or an answer whose truth value
+# raises, into one reason; the last reads a move whose fields were never set
+@pytest.mark.parametrize("adjacent, cert, loop, failed_move, reason", [
+    pytest.param(farey.adjacent, HomotopyCertificate([Relabel(0, UNSHOWABLE, farey.BASE)],
+                                                     [farey.BASE]), [farey.BASE], 0,
+                 f"relabel expected {SHOWN} at 0, found {farey.BASE!r}", id="relabel old image"),
+    pytest.param(farey.adjacent, HomotopyCertificate([UNSHOWABLE], [farey.BASE]), [farey.BASE], 0,
+                 f"unknown move {SHOWN}", id="unknown move"),
+    pytest.param(identical, HomotopyCertificate([Subdivide(1, UNSHOWABLE)], [farey.BASE]),
+                 [farey.BASE], 0, f"inserted image {SHOWN} not adjacent to {farey.BASE!r}",
+                 id="image not adjacent"),
+    pytest.param(identical, HomotopyCertificate([Subdivide(1, farey.BASE)], [UNSHOWABLE]),
+                 [UNSHOWABLE], 0, f"inserted image {farey.BASE!r} not adjacent to {SHOWN}",
+                 id="not adjacent to image"),
+    pytest.param(identical, HomotopyCertificate([], [UNSHOWABLE]), [UNSHOWABLE], None,
+                 f"final image {SHOWN} outside the base star", id="final image"),
+    pytest.param(farey.adjacent, HomotopyCertificate([Subdivide(1, UNSHOWABLE)], [farey.BASE]),
+                 [farey.BASE], 0,
+                 "adjacency oracle raised AttributeError on <Subdivide: repr raised RuntimeError>",
+                 id="oracle on move"),
+    pytest.param(lambda u, v: True, HomotopyCertificate([Relabel(0, Opaque(), farey.BASE)],
+                                                        [farey.BASE]), [farey.BASE], 0,
+                 "comparing images raised RuntimeError on <Relabel: repr raised RuntimeError>",
+                 id="comparison on move"),
+    pytest.param(lambda u, v: Truthless(), HomotopyCertificate([], [farey.BASE]), [farey.BASE],
+                 None, "adjacency oracle raised RuntimeError on loop images at 0, 0",
+                 id="oracle answer"),
+    pytest.param(farey.adjacent, HomotopyCertificate([Relabel.__new__(Relabel)], [farey.BASE]),
+                 [farey.BASE], 0, "cannot read the move: AttributeError", id="unreadable move"),
+])
+def test_validate_reports_values_whose_repr_or_truth_raises(adjacent, cert, loop, failed_move,
+                                                           reason):
+    report = validate(adjacent, cert, loop, farey.BASE)
+    assert (report.ok, report.failed_move, report.reason) == (False, failed_move, reason)
+
+
+class UnshowableInt(int):
+    """A remoteness whose repr, and so str, raises."""
+
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+def test_lying_answers_whose_repr_raises_are_still_reported():
+    def line(u, w):  # refuses every non-integer
+        return type(u) is int and type(w) is int and abs(u - w) <= 1
+
+    def remoteness(v):
+        return v if type(v) is int else 99
+
+    witness = UNSHOWABLE
+    problems = check_blocking_answer(line, remoteness, (1, 1), 2, 0, witness)
+    assert problems[0] == f"b=0 witness {SHOWN} not adjacent to 2"
+    with pytest.raises(OracleContractViolation) as err:
+        contract_loop(line, remoteness, lambda x, v: (0, witness), [0, 1, 2, 1], 0)
+    assert str(err.value) == problems[0]
+    negative = lambda v: UnshowableInt(-1) if v == 2 else v
+    with pytest.raises(OracleContractViolation) as err:
+        contract_loop(line_adjacent, negative, line_blocking, [0, 1, 2, 1], 0)
+    assert str(err.value) == "negative remoteness <UnshowableInt: repr raised RuntimeError> at 2"
+
+
 STAR_LOOP = [farey.BASE, farey.Slope(0, 1), farey.Slope(1, 1)]
 
 
