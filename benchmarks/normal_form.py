@@ -11,6 +11,9 @@ inverse, which cancels every syllable; the normal forms of the last two
 are made before the timing.  The row "mul_nf/partial" times `mul_nf` of
 the normal forms of u.w and w^-1.v, three seeded random words of n/3
 letters each, where only the syllables of w cancel at the junction.
+The row "mul_nf/act" times the products tree.act makes: a seeded batch
+of n products, each the normal form of a word of 1 to 24 letters times
+a representative of a vertex of ball(4, 2), at n = 1k, 2k, 4k and 8k.
 The rows for layer
 "amalgam_reference" time the former quadratic rewriter kept in
 tests/amalgam_reference.py, on the rungs up to 4k only.  Timer, record
@@ -24,10 +27,12 @@ import random
 
 import ladder  # first: it puts src/ and tests/ on sys.path
 import amalgam_reference
-from goeritz import amalgam
+from goeritz import amalgam, tree
 
 LADDER = tuple(1000 * 2**i for i in range(7))  # 1k .. 64k letters
 REFERENCE_MAX = 4000
+ACT_BATCHES = (1000, 2000, 4000, 8000)
+ACT_BALL = (4, 2)  # the ball perfbench's act ops run on
 REPEATS = 5
 SEED = 0
 
@@ -56,6 +61,14 @@ def _partial_rungs():
         yield n, (amalgam.normal_form(u + w), amalgam.normal_form(amalgam.invert_word(w) + v))
 
 
+def _act_rungs():
+    reps = [amalgam.NormalForm(rep) for _, rep in tree.ball(*ACT_BALL).vertices]
+    for n in ACT_BATCHES:
+        rng = random.Random(SEED + n)
+        yield n, [(amalgam.normal_form(amalgam.random_word(rng, rng.randint(1, 24))),
+                   rng.choice(reps)) for _ in range(n)]
+
+
 def _rows():
     for layer, func, top in (("amalgam", amalgam.normal_form, math.inf),
                              ("amalgam_reference", amalgam_reference.normal_form, REFERENCE_MAX)):
@@ -66,6 +79,8 @@ def _rows():
         yield ("amalgam", f"mul_nf/{family}", _product_rungs(family),
                lambda pair: amalgam.mul_nf(*pair), None)
     yield "amalgam", "mul_nf/partial", _partial_rungs(), lambda pair: amalgam.mul_nf(*pair), None
+    yield ("amalgam", "mul_nf/act", _act_rungs(),
+           lambda pairs: [amalgam.mul_nf(u, v) for u, v in pairs], None)
 
 
 if __name__ == "__main__":

@@ -31,9 +31,9 @@ g bit that of the g's.  One small loop then merges the letters left in
 b, B, d, D into syllables left to right, with no tail state: a letter
 of the side of the last syllable merges with it, and a merge to the
 trivial power uncovers the syllable before it.  mul_nf conjugates the
-second operand's syllables by the first one's tail in the same way,
-cancels across the junction by index and joins two tuple slices;
-inv_nf is one comprehension.  All three are linear.
+second operand's syllables by the first one's tail in the same way and
+merges them onto the first one's with the same loop; inv_nf is one
+comprehension.  All three are linear.
 
 The alternating shape survives every step, so equality of group
 elements is literal equality of normal forms.  Results are therefore
@@ -205,14 +205,14 @@ def _pair_parity(syllables: tuple[tuple[str, int], ...]) -> int:
     return sum(k for side, k in syllables if side == "P") & 1
 
 
-def _merge(factors: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    """The alternating syllables of a product of factors, left to right.
+def _merge(factors: Iterable[tuple[str, int]], syllables: list) -> tuple[tuple[str, int], ...]:
+    """The alternating syllables of a product of factors, left to right,
+    merged onto the stack ``syllables``, a list that alternates and is consumed.
 
     Every factor must be reduced, ("P", k) with k != 0 or ("Q", m) with
     m in {1, 2}: a factor ("Q", 3) or ("P", 0) would be kept as a
     syllable.  A factor that merges with nothing is kept as is.
     """
-    syllables: list[tuple[str, int]] = []
     for factor in factors:
         if syllables and syllables[-1][0] == factor[0]:
             # it merges with the last syllable, which vanishes if the
@@ -247,37 +247,23 @@ def normal_form(word: str) -> NormalForm:
         odd = "g".join(parts[1::2])
         a = (odd.count("b") + odd.count("B")) & 1
         parts[1::2] = odd.translate(_SWAP_D).split("g")
-    syllables = _merge(map(_LETTER_SYLLABLE.__getitem__, "".join(parts)))
+    syllables = _merge(map(_LETTER_SYLLABLE.__getitem__, "".join(parts)), [])
     return _trusted(syllables, _TAIL[(len(parts) - 1) & 1][a])
 
 
 def mul_nf(u: NormalForm, v: NormalForm) -> NormalForm:
-    """Product of two normal forms."""
-    left, right = u.syllables, v.syllables
+    """Product of two normal forms.
+
+    >>> str(mul_nf(normal_form("bdb"), normal_form("BDb")))
+    'P(b^2) | tail=1'
+    """
+    right = v.syllables
     a = u.tail.a ^ v.tail.a
     if u.tail.g and right:
         # u's tail moves through v's syllables as in normal_form
         a ^= _pair_parity(right)
-        right = tuple(s if s[0] == "P" else _TRIPLE[3 - s[1]] for s in right)
-    # cancel across the junction: after one side match the sides keep
-    # matching, since both operands alternate
-    i, j, middle = len(left), 0, ()
-    if i and right and left[-1][0] == right[0][0]:
-        triple = left[-1][0] == "Q"
-        while True:
-            i -= 1
-            k = left[i][1] + right[j][1]
-            j += 1
-            if triple:
-                k %= 3
-            if k:
-                middle = (_TRIPLE[k],) if triple else (_PAIR.get(k) or ("P", k),)
-                break
-            if not i or j == len(right):
-                break
-            triple = not triple
-    syllables = left[:i] + middle + right[j:]
-    return _trusted(syllables, _TAIL[u.tail.g ^ v.tail.g][a])
+        right = [s if s[0] == "P" else _TRIPLE[3 - s[1]] for s in right]
+    return _trusted(_merge(right, list(u.syllables)), _TAIL[u.tail.g ^ v.tail.g][a])
 
 
 def inv_nf(u: NormalForm) -> NormalForm:

@@ -65,6 +65,7 @@ __all__ = [
     "WitnessNotFound",
     "blocking",
     "build",
+    "VERTEX_CAP",
     "AxiomReport",
     "verify_axioms",
     "random_based_loop",
@@ -111,6 +112,7 @@ _trusted = tuple.__new__  # _trusted(Slope, (q, p)) for a p/q known to be a slop
 
 INFINITY = Slope(1, 0)
 BASE = INFINITY
+VERTEX_CAP = 100_000  # the most vertices build lists, as tree.ball's default cap
 
 
 def slope(p: int, q: int) -> Slope:
@@ -251,7 +253,7 @@ def blocking(x_members: Iterable[Slope], v: Slope) -> tuple[int, object]:
 
 def build(n: int, window: tuple[int, int] = (0, 1)) -> Complex:
     """Truncated Farey complex: slopes with denominator at most n and
-    value inside the window, plus infinity.
+    value inside the window, plus infinity; ValueError once the candidates pass VERTEX_CAP.
 
     Edges and triangles come from the two parents of each vertex (see the
     module docstring); a simplex is kept when the window keeps all of
@@ -274,6 +276,8 @@ def build(n: int, window: tuple[int, int] = (0, 1)) -> Complex:
     for q in range(1, n + 1):
         p_lo = -(-lo_num * q // lo_den)  # ceil(lo*q)
         p_hi = hi_num * q // hi_den  # floor(hi*q)
+        if len(index) + p_hi - p_lo + 1 > VERTEX_CAP:
+            raise ValueError(f"build exceeded vertex cap {VERTEX_CAP}")
         for p in range(p_lo, p_hi + 1):
             if gcd(p, q) == 1:
                 w = len(index)

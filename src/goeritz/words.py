@@ -227,7 +227,7 @@ def iter_cyclically_reduced(max_len: int) -> Iterator[str]:
     """
     # depth-first over letter strings avoiding adjacent inverses, then a
     # final circular check between last and first letter
-    stack = list("YyXx")
+    stack = list("YyXx") if max_len > 0 else []
     while stack:
         w = stack.pop()
         if w[-1] != _INVERSE[w[0]]:

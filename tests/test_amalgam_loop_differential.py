@@ -3,11 +3,13 @@
 tests/amalgam_loop_reference.py keeps the rewriting loop that appended
 and popped a tuple per letter and the per-character invert_word,
 tests/amalgam_held_loop_reference.py the later loop that held the last
-syllable in locals and carried the tail through every letter, and
-tests/amalgam_reference.py the per-character parse.  The package now
-parses with str.translate and str.replace, moves every g to the right
-end with string operations, merges syllables only, and builds its
-results without check_syllables.  The references share only NormalForm
+syllable in locals and carried the tail through every letter,
+tests/amalgam_junction_reference.py the mul_nf that cancelled across the
+junction by index, and tests/amalgam_reference.py the per-character
+parse.  The package now parses with str.translate and str.replace,
+moves every g to the right end with string operations, merges syllables
+only, with one loop for normal_form and mul_nf, and builds its results
+without check_syllables.  The references share only NormalForm
 and the edge stabilizer with it.  The loops are linear, so the words
 here reach the sizes of the long_words benchmark, which the quadratic
 rewriter of tests/test_amalgam_differential.py cannot.
@@ -20,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amalgam_held_loop_reference as held_ref
+import amalgam_junction_reference as junction_ref
 import amalgam_loop_reference as loop_ref
 import amalgam_reference as ref
 from goeritz import amalgam
@@ -32,7 +35,7 @@ def _alternating(rng, letters):
 
 def _assert_rewriting_matches(u, v):
     nu, nv = amalgam.normal_form(u), amalgam.normal_form(v)
-    for ref_loop in (loop_ref, held_ref):
+    for ref_loop in (loop_ref, held_ref, junction_ref):
         assert nu == ref_loop.normal_form(u)
         assert nv == ref_loop.normal_form(v)
         assert amalgam.mul_nf(nu, nv) == ref_loop.mul_nf(nu, nv)
@@ -51,35 +54,38 @@ def test_benchmark_size_words_match_former_loop(seed):
 
 
 def _cancelling_words(rng):
+    # pairs of words to multiply: each word that cancels within itself
+    # with another of them, then a pair that cancels only across the
+    # junction of the product
     k = rng.randint(1, 400)
-    yield "b" * k + "B" * k
-    yield "B" * k + "d" + "D" + "b" * k
-    yield "bdDB" * k
-    yield "d" * (3 * k)
-    yield "D" * (3 * k) + "b"
-    yield "g" * (2 * k)
-    yield "gdgd" * k
-    yield "bgBg" * 2 * k
+    words = ["b" * k + "B" * k, "B" * k + "d" + "D" + "b" * k, "bdDB" * k, "d" * (3 * k),
+             "D" * (3 * k) + "b", "g" * (2 * k), "gdgd" * k, "bgBg" * 2 * k]
     u = amalgam.random_word(rng, rng.randint(1, 600))
     prefix = amalgam.random_word(rng, rng.randint(0, 300))
     suffix = amalgam.random_word(rng, rng.randint(0, 300))
-    yield prefix + u + amalgam.invert_word(u) + suffix
-    yield prefix + u + loop_ref.invert_word(u) + u + suffix
+    words.append(prefix + u + amalgam.invert_word(u) + suffix)
+    words.append(prefix + u + loop_ref.invert_word(u) + u + suffix)
     # a syllable merges to zero and the one before it comes back,
     # several levels deep
     nested = amalgam.random_word(rng, 50)
     for _ in range(rng.randint(1, 6)):
         w = amalgam.random_word(rng, rng.randint(1, 40))
         nested = w + nested + amalgam.invert_word(w)
-    yield prefix + nested + suffix
+    words.append(prefix + nested + suffix)
+    for word in words:
+        yield word, rng.choice(words)
+    # u.w times w^-1.v, where only w cancels: u ends in its only g, so
+    # the first normal form holds the syllables of g w g and a tail with
+    # g, which turns those of w^-1 in the second into those of g w^-1 g
+    u, w, v = (amalgam.random_word(rng, rng.randint(1, 300)).replace("g", "") for _ in range(3))
+    yield u + "g" + w, amalgam.invert_word(w) + v
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_cancelling_words_match_former_loop(seed):
     rng = random.Random(seed)
-    words = list(_cancelling_words(rng))
-    for u in words:
-        _assert_rewriting_matches(u, rng.choice(words))
+    for u, v in _cancelling_words(rng):
+        _assert_rewriting_matches(u, v)
 
 
 def test_cancelling_words_reduce_as_expected():

@@ -209,6 +209,14 @@ def test_huge_max_power_overruns_the_vertex_cap_quickly(capsys):
     assert elapsed < 1.0, f"{elapsed:.2f}s"
 
 
+def test_farey_build_over_the_vertex_cap_is_a_usage_error(capsys):
+    # each would list billions of candidate slopes; the cap refuses both
+    # before the row that passes it
+    for argv in (("--n", "100000000"), ("--n", "1", "--window", "-1000000000", "1000000000")):
+        code, out, err = run(capsys, "farey", *argv)
+        assert (code, out, err) == (2, "", "error: build exceeded vertex cap 100000\n")
+
+
 # sha256 of the file that `tree --dot PATH` writes, frozen before the
 # endpoint rule moved onto plain keys (tests/cli_golden.json pins only
 # stdout and stderr, which name the path but not the file's bytes)

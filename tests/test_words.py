@@ -194,6 +194,7 @@ def test_enumeration_counts_match_brute_force():
 
     by_length = Counter(len(w) for w in iter_cyclically_reduced(6))
     assert by_length[0] == 0  # the empty word is not enumerated
+    assert list(iter_cyclically_reduced(0)) == list(iter_cyclically_reduced(-3)) == []
     for n in range(1, 7):
         assert by_length[n] == 3**n + 2 + (-1) ** n
 
