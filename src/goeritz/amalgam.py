@@ -78,6 +78,7 @@ __all__ = [
     "PresentationReport",
     "verify_presentation",
     "random_consequence",
+    "MAX_CONSEQUENCE_LEN",
 ]
 
 GENERATOR_ALPHABET = "bBgdD"
@@ -318,16 +319,21 @@ DEFAULT_RELATORS: tuple[tuple[str, str], ...] = (
 )
 
 
+MAX_CONSEQUENCE_LEN = 10_000_000  # the longest max_len random_consequence accepts
+
+
 def random_consequence(rng: random.Random, max_len: int = 200) -> str:
     """A random product of conjugated relators, length at most max_len.
 
     Every such word is a consequence of the defining relators, hence
     must normalize to the identity.  Raises ValueError when max_len is
-    shorter than the longest relator.
+    shorter than the longest relator or longer than MAX_CONSEQUENCE_LEN.
     """
     longest = max(len(relator) for _, relator in DEFAULT_RELATORS)
     if max_len < longest:
         raise ValueError(f"max_len must be at least {longest}, the longest relator")
+    if max_len > MAX_CONSEQUENCE_LEN:
+        raise ValueError(f"max_len must be at most {MAX_CONSEQUENCE_LEN}")
     count = rng.randint(1, min(3, max_len // longest))
     budget = max_len // count
     parts = []

@@ -7,9 +7,12 @@ and contraction-certificate demos.  Every subcommand has a
 machine-readable (--json) mode next to the human one, and output is
 byte-identical for identical (argv, seed).
 
-Exit codes: 0 success, 1 verification failure (including a negative
-answer to a yes/no query), 2 usage error, 141 (128 + SIGPIPE, as a
-shell reports it) when the reader of stdout has gone away.
+Every subcommand returns (lines, payload, ok): its human lines, its
+--json payload, and whether its claim held.  main alone prints them and
+maps outcomes to exit codes: 0 success, 1 verification failure
+(including a negative answer to a yes/no query, and FuelExhausted),
+2 usage error, 141 (128 + SIGPIPE, as a shell reports it) when the
+reader of stdout has gone away.
 """
 
 from __future__ import annotations
@@ -26,15 +29,10 @@ from . import amalgam, contract, farey, simplicial, stabilizers, tree, words
 __all__ = ["main"]
 
 
-def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        for line in lines:
-            print(line)
+_Result = tuple[list[str], dict, bool]
 
 
-def _cmd_nf(args: argparse.Namespace) -> int:
+def _cmd_nf(args: argparse.Namespace) -> _Result:
     nf = amalgam.normal_form(args.word)
     payload = {
         "claim": "alternating normal form of the given word",
@@ -44,11 +42,10 @@ def _cmd_nf(args: argparse.Namespace) -> int:
         "tail": str(nf.tail),
         "is_identity": nf.is_identity(),
     }
-    _emit(args, [str(nf)], payload)
-    return 0
+    return [str(nf)], payload, True
 
 
-def _cmd_eq(args: argparse.Namespace) -> int:
+def _cmd_eq(args: argparse.Namespace) -> _Result:
     equal = amalgam.are_equal(args.left, args.right)
     payload = {
         "claim": "the two words have the same normal form",
@@ -56,11 +53,10 @@ def _cmd_eq(args: argparse.Namespace) -> int:
         "right": args.right,
         "equal": equal,
     }
-    _emit(args, ["true" if equal else "false"], payload)
-    return 0 if equal else 1
+    return ["true" if equal else "false"], payload, equal
 
 
-def _cmd_verify_presentation(args: argparse.Namespace) -> int:
+def _cmd_verify_presentation(args: argparse.Namespace) -> _Result:
     report = amalgam.verify_presentation(
         consequences=args.consequences, max_len=args.max_len, seed=args.seed
     )
@@ -78,11 +74,10 @@ def _cmd_verify_presentation(args: argparse.Namespace) -> int:
         "consequence_failures": report.consequence_failures,
         "ok": report.ok,
     }
-    _emit(args, lines, payload)
-    return 0 if report.ok else 1
+    return lines, payload, report.ok
 
 
-def _cmd_primitive(args: argparse.Namespace) -> int:
+def _cmd_primitive(args: argparse.Namespace) -> _Result:
     word = words.parse_word(args.word)
     primitive = words.is_primitive(word)
     # a primitive word never has mixed signs, and a nonempty freely
@@ -100,11 +95,10 @@ def _cmd_primitive(args: argparse.Namespace) -> int:
         "primitive": primitive,
         "mixed_sign_certificate": certified,
     }
-    _emit(args, [line], payload)
-    return 0 if primitive else 1
+    return [line], payload, primitive
 
 
-def _cmd_tree(args: argparse.Namespace) -> int:
+def _cmd_tree(args: argparse.Namespace) -> _Result:
     b = tree.ball(args.radius, args.max_power)
     good = tree.is_tree(b)
     if args.dot:
@@ -125,11 +119,10 @@ def _cmd_tree(args: argparse.Namespace) -> int:
         "is_tree": good,
         "dot": args.dot,
     }
-    _emit(args, lines, payload)
-    return 0 if good else 1
+    return lines, payload, good
 
 
-def _cmd_quotient(args: argparse.Namespace) -> int:
+def _cmd_quotient(args: argparse.Namespace) -> _Result:
     b = tree.ball(args.radius, args.max_power)
     report = tree.quotient(b, witness_samples=args.witnesses)
     lines = [
@@ -151,8 +144,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
         ],
         "ok": report.ok,
     }
-    _emit(args, lines, payload)
-    return 0 if report.ok else 1
+    return lines, payload, report.ok
 
 
 def _element_word(elem: stabilizers.TripleStabilizer) -> str:
@@ -160,7 +152,7 @@ def _element_word(elem: stabilizers.TripleStabilizer) -> str:
     return "d" * elem.d + "g" * elem.g + "a" * elem.a
 
 
-def _cmd_stabilizers(args: argparse.Namespace) -> int:
+def _cmd_stabilizers(args: argparse.Namespace) -> _Result:
     triple, edge = stabilizers.TRIPLE_ELEMENTS, stabilizers.EDGE_ELEMENTS
     base_p, base_t = tree.BASE_PAIR_VERTEX, tree.BASE_TRIPLE_VERTEX
     triple_fix = all(tree.act(_element_word(e), base_t) == base_t for e in triple)
@@ -191,11 +183,10 @@ def _cmd_stabilizers(args: argparse.Namespace) -> int:
         "d_moves_base_pair": d_moves,
         "ok": ok,
     }
-    _emit(args, lines, payload)
-    return 0 if ok else 1
+    return lines, payload, ok
 
 
-def _cmd_simplicial(args: argparse.Namespace) -> int:
+def _cmd_simplicial(args: argparse.Namespace) -> _Result:
     complex_ = simplicial.Complex.from_json(Path(args.file).read_text())
     if args.action == "flag":
         flag = complex_.is_flag()
@@ -204,8 +195,7 @@ def _cmd_simplicial(args: argparse.Namespace) -> int:
             "file": args.file,
             "is_flag": flag,
         }
-        _emit(args, ["true" if flag else "false"], payload)
-        return 0 if flag else 1
+        return ["true" if flag else "false"], payload, flag
     if args.action == "barycentric":
         out = complex_.barycentric()
     else:  # remove-stars
@@ -229,11 +219,10 @@ def _cmd_simplicial(args: argparse.Namespace) -> int:
         "output": args.output,
         "complex": out.to_json_dict() if not args.output else None,
     }
-    _emit(args, lines, payload)
-    return 0
+    return lines, payload, True
 
 
-def _cmd_farey(args: argparse.Namespace) -> int:
+def _cmd_farey(args: argparse.Namespace) -> _Result:
     complex_ = farey.build(args.n, tuple(args.window))
     vertices, edges, triangles = complex_.f_vector()
     flag, connected = complex_.is_flag(), complex_.is_connected()
@@ -253,35 +242,29 @@ def _cmd_farey(args: argparse.Namespace) -> int:
         "is_flag": flag,
         "is_connected": connected,
     }
-    code = 0
-    if args.verify_axioms:
-        report = farey._check_axioms(
-            complex_, args.n, args.samples, args.seed, tuple(args.window)
-        )
-        lines.append(
-            f"axioms: {report.samples} samples, {len(report.violations)} violations"
-        )
-        lines.extend("  " + v for v in report.violations)
-        payload["axioms"] = {
-            "samples": report.samples,
-            "violations": report.violations,
-            "ok": report.ok,
-        }
-        code = 0 if report.ok else 1
-    _emit(args, lines, payload)
-    return code
+    if not args.verify_axioms:
+        return lines, payload, True
+    report = farey._check_axioms(
+        complex_, args.n, args.samples, args.seed, tuple(args.window)
+    )
+    lines.append(
+        f"axioms: {report.samples} samples, {len(report.violations)} violations"
+    )
+    lines.extend("  " + v for v in report.violations)
+    payload["axioms"] = {
+        "samples": report.samples,
+        "violations": report.violations,
+        "ok": report.ok,
+    }
+    return lines, payload, report.ok
 
 
-def _cmd_contract(args: argparse.Namespace) -> int:
+def _cmd_contract(args: argparse.Namespace) -> _Result:
     loop = farey.random_based_loop(args.seed, args.max_denominator)
-    try:
-        certificate = contract.contract_loop(
-            farey.adjacent, farey.remoteness, farey.blocking, loop, farey.BASE,
-            fuel=args.fuel,
-        )
-    except contract.FuelExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    certificate = contract.contract_loop(
+        farey.adjacent, farey.remoteness, farey.blocking, loop, farey.BASE,
+        fuel=args.fuel,
+    )
     report = contract.validate(farey.adjacent, certificate, loop, farey.BASE)
     if args.output:
         Path(args.output).write_text(certificate.to_json())
@@ -304,8 +287,7 @@ def _cmd_contract(args: argparse.Namespace) -> int:
         "certificate": certificate.to_json_dict(),
         "output": args.output,
     }
-    _emit(args, lines, payload)
-    return 0 if report.ok else 1
+    return lines, payload, report.ok
 
 
 @functools.cache
@@ -388,12 +370,17 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
     try:
-        code = args.func(args)
+        lines, payload, ok = args.func(args)
+        print(json.dumps(payload, indent=2, default=str) if args.json
+              else "\n".join(lines))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return code
+        return 0 if ok else 1
     except BrokenPipeError:
         sys.stdout = open(os.devnull, "w")  # keeps the final flush quiet
         return 141
+    except contract.FuelExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,12 @@ usage and help text to the terminal width).  The fixture records, per
 argv, the exit code and the sha256 of stdout and of stderr;
 tests/test_cli_golden.py replays the argv under the same conditions
 and compares.  CLI output is meant to stay byte-identical for a fixed
-(argv, seed), so regenerate the fixture only on a commit whose output
-is known good, and say why in the change.  The usage and help texts
+(argv, seed), so the script never re-baselines: it reads the fixture
+first, and if any recorded argv would now give a different record it
+lists those argv, writes nothing and exits 1.  Otherwise it appends the
+records of the argv not yet in the fixture.  To rebuild the fixture
+from scratch, delete the file first, on a commit whose output is known
+good, and say why in the change.  The usage and help texts
 come from argparse, which words them slightly differently across
 Python versions; the fixture was frozen under 3.11.
 """
@@ -112,6 +116,9 @@ def _cases() -> list[list[str]]:
         ["--help"],
         ["nf", "--help"],
     ]
+    # failure paths in JSON mode: fuel runs out (exit 1), usage error (exit 2)
+    cases.append(["contract", "--seed", "3", "--fuel", "1", "--json"])
+    cases.append(["tree", "--radius", "0", "--json"])
     return cases
 
 
@@ -142,12 +149,23 @@ def run(argv: list[str]) -> dict:
     }
 
 
-def main() -> None:
+def main() -> int:
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else []
+    recorded = {tuple(record["argv"]): record for record in old}
     with pinned_environment():
         records = [run(argv) for argv in _cases()]
-    FIXTURE.write_text(json.dumps(records, indent=1) + "\n")
-    print(f"{len(records)} CLI cases written to {FIXTURE}")
+    changed = [r["argv"] for r in records if recorded.get(tuple(r["argv"]), r) != r]
+    if changed:
+        print(f"{len(changed)} recorded cases would change; {FIXTURE} left as it is:",
+              file=sys.stderr)
+        for argv in changed:
+            print(f"  {argv}", file=sys.stderr)
+        return 1
+    new = [r for r in records if tuple(r["argv"]) not in recorded]
+    FIXTURE.write_text(json.dumps(old + new, indent=1) + "\n")
+    print(f"{len(new)} CLI cases added to {FIXTURE}, {len(old) + len(new)} in all")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

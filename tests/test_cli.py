@@ -217,6 +217,16 @@ def test_farey_build_over_the_vertex_cap_is_a_usage_error(capsys):
         assert (code, out, err) == (2, "", "error: build exceeded vertex cap 100000\n")
 
 
+def test_verify_presentation_over_the_max_len_cap_is_a_usage_error(capsys):
+    # a consequence is built letter by letter before normal_form sees it;
+    # the cap (amalgam.MAX_CONSEQUENCE_LEN) refuses a longer max_len
+    # before any word is built
+    for max_len in (10_000_001, 10**11):
+        argv = ("verify-presentation", "--max-len", str(max_len), "--consequences", "1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: max_len must be at most 10000000\n")
+
+
 # sha256 of the file that `tree --dot PATH` writes, frozen before the
 # endpoint rule moved onto plain keys (tests/cli_golden.json pins only
 # stdout and stderr, which name the path but not the file's bytes)
