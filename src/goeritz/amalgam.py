@@ -319,7 +319,8 @@ DEFAULT_RELATORS: tuple[tuple[str, str], ...] = (
 )
 
 
-# a consequence this long is built and normalized in seconds, under 200 MiB
+# a consequence this long is built and normalized in seconds, under 200 MiB;
+# verify_presentation bounds the letters of all its consequences by it too
 MAX_CONSEQUENCE_LEN = 10_000_000
 
 
@@ -366,9 +367,13 @@ def verify_presentation(
 ) -> PresentationReport:
     """Check that every defining relator, and a seeded sample of products
     of conjugated relators, normalizes to the identity.  ValueError when
-    consequences < 0."""
+    consequences < 0, or before any word is built when consequences *
+    max_len passes MAX_CONSEQUENCE_LEN (a longer max_len alone is
+    random_consequence's error)."""
     if consequences < 0:
         raise ValueError("consequences must be >= 0")
+    if max_len <= MAX_CONSEQUENCE_LEN < consequences * max_len:
+        raise ValueError(f"consequences * max_len must be at most {MAX_CONSEQUENCE_LEN}")
     relator_results = [
         (name, normal_form(word).is_identity()) for name, word in DEFAULT_RELATORS
     ]

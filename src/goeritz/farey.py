@@ -14,12 +14,19 @@ Stern-Brocot parents, the unique adjacent pair (a, b) with a + b = p/q
 componentwise (for an integer n/1 they are infinity and (n-1)/1).  So
 every edge joins a vertex to a parent and every triangle is a vertex
 with both its parents, which is how build() finds them in linear work.
-Both witness searches below likewise only ever look at parents, and
-the search cannot fail: if no parent of v with smaller denominator
-works, then some member of X has a denominator strictly above q(v), so
-the maximal-remoteness member v' has v itself as a parent, and w' = v
-is an admissible replacement (every member of X is adjacent to v
-already).
+
+The same fact fixes blocking's witness in advance.  A b = 0 witness is
+a parent of v adjacent to every member of X.  If no member of X is
+deeper than v, every member is v, a parent of v or, when q(v) = 1, a
+neighbouring integer, and the first parent of v is adjacent to all of
+them; so b > 0 needs a member deeper than v.  Then v is a parent of
+the first deepest member v'.  The only common neighbours of v and v'
+are the other parent of v' and the mediant of v and v', which is deeper
+than v' and so no member; hence either parent of v' is adjacent to v
+and to every member adjacent to v', and w' is the first one.
+contract.contract_loop asks blocking only at a position of maximal
+remoteness, where no member is deeper than v, so with these oracles
+every move it makes is a Relabel.
 
 A Slope is the tuple (q, p), so every layer hashes and sorts slopes in C.
 The public constructor Slope(p, q) checks lowest terms.  The hot paths
@@ -62,7 +69,6 @@ __all__ = [
     "mediant",
     "parents",
     "neighbours",
-    "WitnessNotFound",
     "blocking",
     "build",
     "VERTEX_CAP",
@@ -196,19 +202,18 @@ def neighbours(v: Slope, bound: int) -> list[Slope]:
     return sorted(slope(a.p + k * v.p, a.q + k * v.q) for k in range(-bound, bound + 1))
 
 
-class WitnessNotFound(RuntimeError):
-    """No admissible blocking witness exists (never raised in practice;
-    see the module docstring)."""
-
-
 def blocking(x_members: Iterable[Slope], v: Slope) -> tuple[int, object]:
     """Blocking value and witness for an adjacency pair (X, v).
 
     Returns (0, w) when some vertex w adjacent to v and to every member
     of X has smaller remoteness than v; the candidates are exactly the
     parents of v.  Otherwise returns (sum of member remotenesses,
-    (v', w')) where v' is a maximal-remoteness member and w' a parent
-    of v' adjacent to v and to every member of X adjacent to v'.
+    (v', w')) where v' is the first member of greatest denominator and
+    w' its first parent, which the module docstring shows is adjacent
+    to v and to every member of X adjacent to v'.
+
+    >>> blocking((Slope(1, 3), Slope(2, 3)), Slope(1, 2))
+    (6, (Slope(p=1, q=3), Slope(p=0, q=1)))
     """
     xs = tuple(sorted(x_members))
     q = v.q
@@ -229,26 +234,9 @@ def blocking(x_members: Iterable[Slope], v: Slope) -> tuple[int, object]:
             else:
                 return 0, w
     rs = [u.q for u in xs]
-    value = sum(rs)
     max_r = max(rs)
-    for vp, vp_q in zip(xs, rs):
-        if vp_q != max_r or vp_q == 0:
-            continue
-        vp_p = vp.p
-        for wp in _parents(vp_q, vp_p):
-            wp_q, wp_p = wp[0], wp[1]
-            if wp_q >= vp_q or (wp != v and abs(wp_p * q - wp_q * p) != 1):
-                continue
-            # every member adjacent to v' must be adjacent to w'
-            for u in xs:
-                u_p, u_q = u.p, u.q
-                if (u == vp or abs(u_p * vp_q - u_q * vp_p) == 1) and (
-                    u != wp and abs(u_p * wp_q - u_q * wp_p) != 1
-                ):
-                    break
-            else:
-                return value, (vp, wp)
-    raise WitnessNotFound(f"no witness for X={[str(u) for u in xs]}, v={v}")
+    vp = xs[rs.index(max_r)]
+    return sum(rs), (vp, _parents(max_r, vp.p)[0])
 
 
 def build(n: int, window: tuple[int, int] = (0, 1)) -> Complex:
@@ -348,11 +336,7 @@ def _check_axioms(complex_: Complex, n: int, samples: int, seed: int, window: tu
             star = stars[i] = sorted(neighbours[i] | {i})
         v = labels[i]
         xs = tuple(labels[rng.choice(star)] for _ in range(rng.randint(0, 3)))
-        try:
-            value, witness = blocking(xs, v)
-        except WitnessNotFound as err:
-            report.violations.append(str(err))
-            continue
+        value, witness = blocking(xs, v)
         problems = check_blocking_answer(adjacent, remoteness, xs, v, value, witness)
         report.violations.extend(problems)
         if value > 0 and not problems:

@@ -9,7 +9,11 @@
 # samples from an empty list when the window holds no finite slope.
 # check_blocking_answer is a verbatim copy of goeritz.contract's, so a
 # fault in the package's contract check cannot hide here; the simplicial
-# layer is the package's.
+# layer is the package's.  WitnessNotFound is the exception the package's
+# blocking declared for a failed b > 0 search before that witness took
+# its closed form; the search kept here still raises it, and
+# tests/slope_reference.py and tests/test_simplicial_differential.py
+# import it from here.
 
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from goeritz.contract import Adjacency, Remoteness, Vertex
-from goeritz.farey import AxiomReport, WitnessNotFound
+from goeritz.farey import AxiomReport
 from goeritz.simplicial import Complex, _from_ids
 
 
@@ -68,6 +72,10 @@ def check_blocking_answer(
     if not adjacent(wp, v):
         problems.append(f"b>0 replacement {wp!r} not adjacent to active image {v!r}")
     return problems
+
+
+class WitnessNotFound(RuntimeError):
+    """No admissible blocking witness exists (never raised in practice)."""
 
 
 class Slope(tuple):

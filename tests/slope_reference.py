@@ -37,12 +37,12 @@ from goeritz.contract import (
 )
 from goeritz.farey import (
     AxiomReport,
-    WitnessNotFound,
     adjacent,
     blocking,
     det_intersection,
     remoteness,
 )
+from farey_reference import WitnessNotFound
 from simplicial_reference import Complex
 
 

@@ -227,6 +227,16 @@ def test_verify_presentation_over_the_max_len_cap_is_a_usage_error(capsys):
         assert (code, out, err) == (2, "", "error: max_len must be at most 10000000\n")
 
 
+def test_verify_presentation_over_the_total_letter_cap_is_a_usage_error(capsys):
+    # the work is linear in consequences * max_len, so the same cap bounds
+    # the product, before any word is built (--max-len defaults to 200)
+    for extra in (("--consequences", "50001"), ("--consequences", "1001", "--max-len", "10000")):
+        code, out, err = run(capsys, "verify-presentation", *extra)
+        assert (code, out, err) == (
+            2, "", "error: consequences * max_len must be at most 10000000\n"
+        ), extra
+
+
 # sha256 of the file that `tree --dot PATH` writes, frozen before the
 # endpoint rule moved onto plain keys (tests/cli_golden.json pins only
 # stdout and stderr, which name the path but not the file's bytes)

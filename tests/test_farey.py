@@ -277,6 +277,31 @@ def test_blocking_never_fails_on_small_exhaustive_scan():
                     assert adjacent(wp, v)
 
 
+def test_contract_loop_on_the_fixture_only_relabels():
+    # contract_loop asks blocking only at a position of maximal
+    # remoteness, so no member is deeper than v and every answer has
+    # b = 0 (the goeritz.farey module docstring); the loops concatenate
+    # seeded 50-position random_based_loop segments, as the benchmark's do
+    asked = []
+
+    def spy(xs, v):
+        assert all(remoteness(u) <= remoteness(v) for u in xs), (xs, v)
+        asked.append(v)
+        return blocking(xs, v)
+
+    rng = random.Random(0)
+    for _ in range(200):
+        positions = rng.randint(20, 400)
+        segment = min(positions, 50)
+        loop = []
+        for _ in range(positions // segment):
+            loop += random_based_loop(rng.randrange(1 << 30), 50, segment - 3, segment - 3)
+        cert = contract.contract_loop(adjacent, remoteness, spy, loop, BASE)
+        assert {type(move) for move in cert.moves} == {contract.Relabel}
+        assert contract.validate(adjacent, cert, loop, BASE)
+    assert len(asked) > 10_000
+
+
 def test_build_small_complexes():
     k1 = build(1)
     assert sorted(str(v) for v in k1.vertices()) == ["0/1", "1/1", "inf"]

@@ -1,7 +1,11 @@
-"""Every module's __all__ names only what the module defines."""
+"""Every module's __all__ names only what the module defines, and the
+package imports nothing at runtime beyond the standard library."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +29,16 @@ def test_all_names_exist_and_star_import(name):
     namespace: dict = {}
     exec(f"from goeritz.{name} import *", namespace)
     assert set(public) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_runtime_imports_are_standard_library(name):
+    # relative imports (level > 0) stay inside the package
+    path = Path(goeritz.__path__[0]) / f"{name}.py"
+    tops = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    assert not sorted(tops - sys.stdlib_module_names)

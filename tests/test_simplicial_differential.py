@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplicial_reference as ref
+from farey_reference import WitnessNotFound
 from goeritz import farey
 from goeritz.contract import check_blocking_answer
 from goeritz.simplicial import Complex, remove_open_stars
@@ -190,7 +191,7 @@ def _former_check_axioms(complex_, n, samples, seed):
         xs = tuple(rng.choice(stars[v]) for _ in range(rng.randint(0, 3)))
         try:
             value, witness = farey.blocking(xs, v)
-        except farey.WitnessNotFound as err:
+        except WitnessNotFound as err:
             report.violations.append(str(err))
             continue
         problems = check_blocking_answer(
