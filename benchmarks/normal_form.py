@@ -14,7 +14,12 @@ letters each, where only the syllables of w cancel at the junction.
 The row "mul_nf/act" times the products tree.act makes: a seeded batch
 of n products, each the normal form of a word of 1 to 24 letters times
 a representative of a vertex of ball(4, 2), at n = 1k, 2k, 4k and 8k.
-The rows for layer
+The rows "are_equal/mutant" and "are_equal/padded" time `are_equal` of a
+random word and, in turn, the word with one letter changed to another of
+b B g d D, and the word with 2 + n/500 random relator consequences of at
+most 60 letters inserted, the mutant and padding rules of perfbench's
+word ops: the first pair is told apart by the invariants of the g pass,
+the second is equal and merged in full.  The rows for layer
 "amalgam_reference" time the former quadratic rewriter kept in
 tests/amalgam_reference.py, on the rungs up to 4k only.  Timer, record
 format and `--parent` are those of benchmarks/ladder.py.
@@ -61,6 +66,24 @@ def _partial_rungs():
         yield n, (amalgam.normal_form(u + w), amalgam.normal_form(amalgam.invert_word(w) + v))
 
 
+def _mutant(rng: random.Random, word: str) -> str:
+    i = rng.randrange(len(word))
+    letter = rng.choice([c for c in amalgam.GENERATOR_ALPHABET if c != word[i]])
+    return word[:i] + letter + word[i + 1:]
+
+
+def _padded(rng: random.Random, word: str) -> str:
+    for _ in range(2 + len(word) // 500):
+        i = rng.randint(0, len(word))
+        word = word[:i] + amalgam.random_consequence(rng, 60) + word[i:]
+    return word
+
+
+def _equal_rungs(other):
+    for n, word in _rungs("random", math.inf):
+        yield n, (word, other(random.Random(SEED + n + 4), word))
+
+
 def _act_rungs():
     reps = [amalgam.NormalForm(rep) for _, rep in tree.ball(*ACT_BALL).vertices]
     for n in ACT_BATCHES:
@@ -78,6 +101,9 @@ def _rows():
         yield "amalgam", f"inv_nf/{family}", _nf_rungs(family), amalgam.inv_nf, None
         yield ("amalgam", f"mul_nf/{family}", _product_rungs(family),
                lambda pair: amalgam.mul_nf(*pair), None)
+    for name, other in (("mutant", _mutant), ("padded", _padded)):
+        yield ("amalgam", f"are_equal/{name}", _equal_rungs(other),
+               lambda pair: amalgam.are_equal(*pair), None)
     yield "amalgam", "mul_nf/partial", _partial_rungs(), lambda pair: amalgam.mul_nf(*pair), None
     yield ("amalgam", "mul_nf/act", _act_rungs(),
            lambda pairs: [amalgam.mul_nf(u, v) for u, v in pairs], None)

@@ -23,7 +23,7 @@ the factors (t and a are central)
     t^a g^c . b^k = b^k . t^(a+ck) g^c
     g^c a^e . d^m = d^((-1)^c m) . g^c a^e
 
-so normal_form first moves every g to the right end with string
+so the g pass first moves every g to the right end with string
 operations: split at the g's, the segments after an odd number of g's
 are joined, have d and D swapped by one str.translate and are split
 back into place; the a bit is the parity of their b and B letters, the
@@ -36,10 +36,15 @@ merges them onto the first one's with the same loop; inv_nf is one
 comprehension.  All three are linear.
 
 The alternating shape survives every step, so equality of group
-elements is literal equality of normal forms.  Results are therefore
-built through the slot descriptors without running check_syllables
-again; the public NormalForm constructor keeps its syllables as a tuple
-and checks them.
+elements is equality of normal forms.  are_equal compares four
+invariants of the g pass first and merges only when they all agree:
+the g bit, the a bit, the sum of the b powers of the letters left and,
+mod 3, that of their d powers.  The tail is exactly what the g pass
+returns, and every merge keeps the sum of the pair powers and, mod 3,
+that of the triple powers, so the four are read off the unique normal
+form and equal elements agree on them.  Results are built through the
+slot descriptors without running check_syllables again; the public
+NormalForm constructor keeps its syllables as a tuple and checks them.
 Syllables are shared: each letter's syllable, each triple syllable and
 each pair syllable with |power| <= 32 is one prebuilt tuple.
 
@@ -231,6 +236,31 @@ def _merge(factors: Iterable[tuple[str, int]], syllables: list) -> tuple[tuple[s
     return tuple(syllables)
 
 
+def _g_pass(word: str) -> tuple[str, int, int]:
+    """The b, B, d, D letters a word leaves once every g has moved to
+    the right end, and the g and a bits of the tail it leaves there."""
+    # the segments after an odd number of g's are conjugated by g, which
+    # swaps d and D and leaves one t per b or B behind
+    parts = parse(word).split("g")
+    a = 0
+    if len(parts) > 1:
+        odd = "g".join(parts[1::2])
+        a = (odd.count("b") + odd.count("B")) & 1
+        parts[1::2] = odd.translate(_SWAP_D).split("g")
+    return "".join(parts), (len(parts) - 1) & 1, a
+
+
+def _power_sums(letters: str) -> tuple[int, int]:
+    # the b-power sum and, mod 3, the d-power sum of letters in b, B, d, D,
+    # from three counts: the letters that are none of b, d, D are B's
+    b, d, D = letters.count("b"), letters.count("d"), letters.count("D")
+    return 2 * b + d + D - len(letters), (d - D) % 3
+
+
+def _syllables(letters: str) -> tuple[tuple[str, int], ...]:
+    return _merge(map(_LETTER_SYLLABLE.__getitem__, letters), [])
+
+
 def normal_form(word: str) -> NormalForm:
     """Normal form of a generator word.
 
@@ -239,17 +269,8 @@ def normal_form(word: str) -> NormalForm:
     >>> normal_form("gg").is_identity()
     True
     """
-    # every g moves to the right end: the segments after an odd number
-    # of g's are conjugated by g, which swaps d and D and leaves one t
-    # per b or B behind
-    parts = parse(word).split("g")
-    a = 0
-    if len(parts) > 1:
-        odd = "g".join(parts[1::2])
-        a = (odd.count("b") + odd.count("B")) & 1
-        parts[1::2] = odd.translate(_SWAP_D).split("g")
-    syllables = _merge(map(_LETTER_SYLLABLE.__getitem__, "".join(parts)), [])
-    return _trusted(syllables, _TAIL[(len(parts) - 1) & 1][a])
+    letters, g, a = _g_pass(word)
+    return _trusted(_syllables(letters), _TAIL[g][a])
 
 
 def mul_nf(u: NormalForm, v: NormalForm) -> NormalForm:
@@ -284,12 +305,24 @@ def inv_nf(u: NormalForm) -> NormalForm:
 def are_equal(u: str, v: str) -> bool:
     """Word problem: do two generator words define the same element?
 
+    Words that differ in the g bit, the a bit, the b-power sum or the
+    d-power sum mod 3 of the g pass are unequal without any merging:
+
+    >>> are_equal("ddd", "d")
+    False
+
+    Words that agree on all four are merged and their syllables compared:
+
     >>> are_equal("ad", "da")
     True
     >>> are_equal("bd", "db")
     False
     """
-    return normal_form(u) == normal_form(v)
+    lu, gu, au = _g_pass(u)
+    lv, gv, av = _g_pass(v)
+    if gu != gv or au != av or _power_sums(lu) != _power_sums(lv):
+        return False
+    return _syllables(lu) == _syllables(lv)
 
 
 def nf_to_word(nf: NormalForm) -> str:

@@ -38,6 +38,12 @@ COMPLEX = "cli_golden_complex.json"  # relative to tests/
 WORD_LETTERS = "bBgdDat"
 # relators inserted into the eq words (a is an involution, so [a,b] = abaB)
 RELATORS = ("gg", "ddd", "gdgd", "aa", "abaB", "adaD")
+EQ_PINNED = (
+    ("g", ""), ("a", ""), ("b", "B"), ("d", "D"), ("ddd", "d"),
+    ("bd", "db"),
+    ("gdg", "D"), ("gbg", "tb"), ("gdgd", ""),
+    ("bx", "q"), ("b", "q"),
+)
 
 
 def _words(seed: int, count: int) -> list[str]:
@@ -119,6 +125,11 @@ def _cases() -> list[list[str]]:
     # failure paths in JSON mode: fuel runs out (exit 1), usage error (exit 2)
     cases.append(["contract", "--seed", "3", "--fuel", "1", "--json"])
     cases.append(["tree", "--radius", "0", "--json"])
+    # eq pairs told apart by one invariant of the g pass, unequal with the
+    # same invariants, equal only through the g pass, and bad words
+    for left, right in EQ_PINNED:
+        for json_flag in ([], ["--json"]):
+            cases.append(["eq", *json_flag, left, right])
     return cases
 
 
