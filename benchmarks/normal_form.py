@@ -19,10 +19,15 @@ random word and, in turn, the word with one letter changed to another of
 b B g d D, and the word with 2 + n/500 random relator consequences of at
 most 60 letters inserted, the mutant and padding rules of perfbench's
 word ops: the first pair is told apart by the invariants of the g pass,
-the second is equal and merged in full.  The rows for layer
-"amalgam_reference" time the former quadratic rewriter kept in
-tests/amalgam_reference.py, on the rungs up to 4k only.  Timer, record
-format and `--parent` are those of benchmarks/ladder.py.
+the second is equal and merged in full.  The rows "merge/random" and
+"merge/alternating" time `_merge` alone on the b, B, d, D letters the g
+pass leaves of each word.  The rows for layer "amalgam_reference" time
+the former quadratic rewriter kept in tests/amalgam_reference.py, on
+the rungs up to 4k only, and, as "merge/*" on every rung and the same
+letters, the former stack loop of `_merge` kept in
+tests/amalgam_stack_merge_reference.py, so that both merge cores are
+timed in one process.  Timer, record format and `--parent` are those of
+benchmarks/ladder.py.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import random
 
 import ladder  # first: it puts src/ and tests/ on sys.path
 import amalgam_reference
+import amalgam_stack_merge_reference
 from goeritz import amalgam, tree
 
 LADDER = tuple(1000 * 2**i for i in range(7))  # 1k .. 64k letters
@@ -50,6 +56,14 @@ def _word(family: str, n: int) -> str:
 
 def _rungs(family: str, top: float):
     return ((n, _word(family, n)) for n in LADDER if n <= top)
+
+
+def _letter_rungs(family: str):
+    return ((n, amalgam._g_pass(word)[0]) for n, word in _rungs(family, math.inf))
+
+
+def _merging(merge):
+    return lambda letters: merge(map(amalgam._LETTER_SYLLABLE.__getitem__, letters), [])
 
 
 def _nf_rungs(family: str):
@@ -97,6 +111,10 @@ def _rows():
                              ("amalgam_reference", amalgam_reference.normal_form, REFERENCE_MAX)):
         for family in ("random", "alternating"):
             yield layer, f"normal_form/{family}", _rungs(family, top), func, None
+    for family in ("random", "alternating"):
+        for layer, merge in (("amalgam", amalgam._merge),
+                             ("amalgam_reference", amalgam_stack_merge_reference._merge)):
+            yield layer, f"merge/{family}", _letter_rungs(family), _merging(merge), None
     for family in ("random", "alternating"):
         yield "amalgam", f"inv_nf/{family}", _nf_rungs(family), amalgam.inv_nf, None
         yield ("amalgam", f"mul_nf/{family}", _product_rungs(family),

@@ -27,10 +27,11 @@ so the g pass first moves every g to the right end with string
 operations: split at the g's, the segments after an odd number of g's
 are joined, have d and D swapped by one str.translate and are split
 back into place; the a bit is the parity of their b and B letters, the
-g bit that of the g's.  One small loop then merges the letters left in
-b, B, d, D into syllables left to right, with no tail state: a letter
-of the side of the last syllable merges with it, and a merge to the
-trivial power uncovers the syllable before it.  mul_nf conjugates the
+g bit that of the g's.  One small loop, _merge, then merges the letters
+left in b, B, d, D into syllables left to right, with no tail state: it
+holds the last syllable in a local, a letter of the other side pushes
+it, one of the same side merges into it, and a merge to the trivial
+power pops the syllable before it into the hold.  mul_nf conjugates the
 second operand's syllables by the first one's tail in the same way and
 merges them onto the first one's with the same loop; inv_nf is one
 comprehension.  All three are linear.
@@ -132,15 +133,23 @@ def _syllable_text(side: str, power: int) -> str:
 
 def check_syllables(syllables: tuple[tuple[str, int], ...]) -> None:
     """Raise ValueError unless every syllable is ("P", k) with k != 0 or
-    ("Q", m) with m in {1, 2}, and neighbouring syllables lie on
-    different sides.
+    ("Q", m) with m in {1, 2}, each power of type int (not bool), and
+    neighbouring syllables lie on different sides.
 
     >>> check_syllables((("P", 1), ("P", 2)))
     Traceback (most recent call last):
     ...
     ValueError: syllables do not alternate: P(b^1) P(b^2)
+    >>> check_syllables((("P", 1.5),))
+    Traceback (most recent call last):
+    ...
+    ValueError: syllable power must be an int, got 1.5 of type float
     """
     for side, power in syllables:
+        if type(power) is not int:
+            raise ValueError(
+                f"syllable power must be an int, got {power!r} of type {type(power).__name__}"
+            )
         if side == "P":
             if power == 0:
                 raise ValueError("pair syllable with zero power")
@@ -192,6 +201,7 @@ _TAIL = ((EDGE_IDENTITY, EDGE_A), (EDGE_G, EDGE_GA))
 _PAIR = {k: ("P", k) for k in range(-32, 33) if k}
 _TRIPLE = (None, ("Q", 1), ("Q", 2))
 _LETTER_SYLLABLE = {"b": _PAIR[1], "B": _PAIR[-1], "d": _TRIPLE[1], "D": _TRIPLE[2]}
+_NO_SYLLABLE = ("", 0)  # _merge holds it on an empty stack; pushed, it is the bottom
 _SWAP_D = str.maketrans("dD", "Dd")
 
 _set_syllables = NormalForm.syllables.__set__
@@ -218,21 +228,28 @@ def _merge(factors: Iterable[tuple[str, int]], syllables: list) -> tuple[tuple[s
     Every factor must be reduced, ("P", k) with k != 0 or ("Q", m) with
     m in {1, 2}: a factor ("Q", 3) or ("P", 0) would be kept as a
     syllable.  A factor that merges with nothing is kept as is.
+
+    The last syllable is held in a local, pushed when a factor of the
+    other side comes and replaced by a pop when a merge cancels it.
     """
+    held = syllables.pop() if syllables else _NO_SYLLABLE
     for factor in factors:
-        if syllables and syllables[-1][0] == factor[0]:
-            # it merges with the last syllable, which vanishes if the
-            # power becomes trivial
-            side, k = syllables.pop()
-            k += factor[1]
-            if side == "Q":
-                k %= 3
-                if k:
-                    syllables.append(_TRIPLE[k])
-            elif k:
-                syllables.append(_PAIR.get(k) or ("P", k))
+        side = factor[0]
+        if side != held[0]:
+            syllables.append(held)
+            held = factor
+            continue
+        k = held[1] + factor[1]
+        if side == "Q":
+            k %= 3
+            held = _TRIPLE[k] if k else (syllables.pop() if syllables else _NO_SYLLABLE)
+        elif k:
+            held = _PAIR.get(k) or ("P", k)
         else:
-            syllables.append(factor)
+            held = syllables.pop() if syllables else _NO_SYLLABLE
+    syllables.append(held)
+    if syllables[0] is _NO_SYLLABLE:
+        del syllables[0]
     return tuple(syllables)
 
 

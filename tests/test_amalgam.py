@@ -146,6 +146,33 @@ def test_syllable_and_normal_form_validation():
         NormalForm((("R", 1),))
 
 
+@pytest.mark.parametrize("syllable, shown", [
+    (("P", 1.5), "1.5 of type float"),
+    (("P", "x"), "'x' of type str"),
+    (("P", True), "True of type bool"),
+    (("Q", 1.0), "1.0 of type float"),
+    (("Q", False), "False of type bool"),
+    (("P", None), "None of type NoneType"),
+])
+def test_syllable_powers_must_be_ints(syllable, shown):
+    message = f"^syllable power must be an int, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        NormalForm((syllable,))
+    with pytest.raises(ValueError, match=message):
+        amalgam.check_syllables((syllable,))
+    # the faults of each syllable come before alternation
+    with pytest.raises(ValueError, match=message):
+        NormalForm((("P", 1), ("P", 2), syllable))
+
+
+def test_an_int_subclass_power_is_refused_too():
+    class Power(int):
+        pass
+
+    with pytest.raises(ValueError, match=r"^syllable power must be an int, got 1 of type Power$"):
+        NormalForm((("P", Power(1)),))
+
+
 def test_normal_form_checks_the_type_of_its_tail():
     with pytest.raises(TypeError, match="^tail must be an EdgeStabilizer, not str$"):
         NormalForm((), "ga")

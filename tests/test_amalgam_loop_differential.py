@@ -5,11 +5,13 @@ and popped a tuple per letter and the per-character invert_word,
 tests/amalgam_held_loop_reference.py the later loop that held the last
 syllable in locals and carried the tail through every letter,
 tests/amalgam_junction_reference.py the mul_nf that cancelled across the
-junction by index, and tests/amalgam_reference.py the per-character
-parse.  The package now parses with str.translate and str.replace,
-moves every g to the right end with string operations, merges syllables
-only, with one loop for normal_form and mul_nf, and builds its results
-without check_syllables.  The references share only NormalForm
+junction by index, tests/amalgam_stack_merge_reference.py the _merge
+that kept every syllable on its stack, and tests/amalgam_reference.py
+the per-character parse.  The package now parses with str.translate and
+str.replace, moves every g to the right end with string operations,
+merges syllables only, with one loop for normal_form and mul_nf that
+holds the last syllable in a local, and builds its results without
+check_syllables.  The references share only NormalForm
 and the edge stabilizer with it.  The loops are linear, so the words
 here reach the sizes of the long_words benchmark, which the quadratic
 rewriter of tests/test_amalgam_differential.py cannot.
@@ -25,6 +27,7 @@ import amalgam_held_loop_reference as held_ref
 import amalgam_junction_reference as junction_ref
 import amalgam_loop_reference as loop_ref
 import amalgam_reference as ref
+import amalgam_stack_merge_reference as stack_ref
 from goeritz import amalgam
 
 
@@ -153,6 +156,110 @@ def test_results_pass_check_syllables(u, v, cut):
         amalgam.check_syllables(nf.syllables)
         assert type(nf.syllables) is tuple
         assert all(type(s) is tuple for s in nf.syllables)
+
+
+def _with_stack_merge(func, *args):
+    # func run on the package with _merge swapped for the former stack loop
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(amalgam, "_merge", stack_ref._merge)
+        return func(*args)
+
+
+@given(long_words, long_words)
+@settings(max_examples=200, deadline=None)
+def test_word_problem_matches_the_former_stack_merge(u, v):
+    nu, nv = amalgam.normal_form(u), amalgam.normal_form(v)
+    assert nu == _with_stack_merge(amalgam.normal_form, u)
+    for x, y in ((nu, nv), (nv, nu), (nu, amalgam.inv_nf(nu))):
+        assert amalgam.mul_nf(x, y) == _with_stack_merge(amalgam.mul_nf, x, y)
+    assert amalgam.inv_nf(nu) == _with_stack_merge(amalgam.inv_nf, nu)
+    # the last two pairs often agree on the invariants, and the first
+    # one is equal, so each is merged in full
+    for x, y in ((u, amalgam.nf_to_word(nu)), (u, v), (u + v, v + u)):
+        assert amalgam.are_equal(x, y) == _with_stack_merge(amalgam.are_equal, x, y)
+
+
+# raw factors of both sides: pair powers that a merge can cancel and
+# ones past the shared syllables of -32..32
+factors = st.one_of(
+    st.tuples(st.just("P"), st.one_of(st.integers(-3, 3), st.integers(-100, 100)).filter(bool)),
+    st.tuples(st.just("Q"), st.integers(1, 2)),
+)
+
+
+@given(st.lists(factors, max_size=300), st.lists(factors, max_size=60))
+@settings(max_examples=300, deadline=None)
+@example([("P", 1), ("Q", 1), ("Q", 2), ("P", -1)], [])
+@example([("P", -40), ("Q", 2)], [("P", 40), ("Q", 1)])
+@example([("Q", 2), ("P", 3), ("P", -3), ("Q", 1)], [("P", 5), ("Q", 2), ("P", 1)])
+def test_merge_matches_the_former_stack_loop(raw, start_raw):
+    # the start stack alternates: it is the merge of raw factors
+    start = list(stack_ref._merge(start_raw, []))
+    merged = amalgam._merge(iter(raw), list(start))
+    assert merged == stack_ref._merge(raw, list(start))
+    assert type(merged) is tuple
+    assert all(type(s) is tuple for s in merged)
+
+
+def test_merge_keeps_a_non_reduced_factor_as_is():
+    for raw, start in (([("Q", 3)], []), ([("P", 0)], [("Q", 1)]), ([("Q", 4), ("Q", 2)], []),
+                       ([("P", 1), ("Q", 0), ("Q", 0)], [("Q", 2)]), ([("P", 0), ("P", 0)], [])):
+        assert amalgam._merge(raw, list(start)) == stack_ref._merge(raw, list(start))
+    assert amalgam._merge([("Q", 3)], []) == (("Q", 3),)
+    assert amalgam._merge([("P", 1), ("Q", 0), ("Q", 0)], []) == (("P", 1),)
+
+
+class _CountingIterator:
+    def __init__(self, items):
+        self._items = iter(items)
+        self.reads = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._items)
+        self.reads += 1
+        return item
+
+
+class _CountingList(list):
+    appends = pops = 0
+
+    def append(self, item):
+        self.appends += 1
+        super().append(item)
+
+    def pop(self, *args):
+        self.pops += 1
+        return super().pop(*args)
+
+
+def _gate_words(n):
+    rng = random.Random(n)
+    yield amalgam.random_word(rng, n)
+    yield _alternating(rng, n)
+    yield amalgam.random_consequence(rng, n)
+
+
+@pytest.mark.parametrize("n", [1000 * 2**i for i in range(7)])
+def test_merge_does_linear_work(n):
+    # one merge step per factor: each factor is read once, and the stack
+    # takes at most two appends or pops per factor, two more for the
+    # hold, and one pop per syllable it starts with.  The merge runs on
+    # the empty stack, and on the syllables of a word that the inverse
+    # syllables cancel one by one before the letters come.
+    start_nf = amalgam.normal_form(amalgam.random_word(random.Random(n + 1), n // 4))
+    cancelling = amalgam.inv_nf(start_nf).syllables
+    for word in _gate_words(n):
+        letters = [amalgam._LETTER_SYLLABLE[c] for c in amalgam._g_pass(word)[0]]
+        for start, raw in (((), letters), (start_nf.syllables, [*cancelling, *letters])):
+            factors, stack = _CountingIterator(raw), _CountingList(start)
+            merged = amalgam._merge(factors, stack)
+            assert factors.reads == len(raw)
+            assert next(factors, None) is None
+            assert stack.appends + stack.pops <= 2 * (len(raw) + 1) + len(start)
+            assert merged == stack_ref._merge(raw, list(start))
 
 
 # any code point; lone surrogates are rare among all characters, so they

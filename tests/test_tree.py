@@ -174,6 +174,20 @@ def test_canonical_rep_rejects_own_side_trailing_syllable():
         act_edge("b", (("Q", 1), ("Q", 2)))
 
 
+# each was accepted before powers had to be ints: ("P", 1.5) gave the
+# vertex triple[b^2.5], ("P", "x") a TypeError from inside the merge
+@pytest.mark.parametrize("power, shown", [(1.5, "1.5 of type float"), ("x", "'x' of type str"),
+                                          (True, "True of type bool"), (1.0, "1.0 of type float")])
+def test_act_rejects_a_power_that_is_not_an_int(power, shown):
+    message = f"^syllable power must be an int, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        act("b", (TRIPLE, (("P", power),)))
+    with pytest.raises(ValueError, match=message):
+        act("b", (PAIR, (("Q", power),)))
+    with pytest.raises(ValueError, match=message):
+        act_edge("b", (("Q", 1), ("P", power)))
+
+
 def test_vertex_label():
     assert vertex_label((PAIR, ())) == "pair[1]"
     assert vertex_label((PAIR, (("P", 1), ("Q", 2)))) == "pair[b^1 d^2]"
