@@ -37,13 +37,18 @@ merges them onto the first one's with the same loop; inv_nf is one
 comprehension.  All three are linear.
 
 The alternating shape survives every step, so equality of group
-elements is equality of normal forms.  are_equal compares four
-invariants of the g pass first and merges only when they all agree:
-the g bit, the a bit, the sum of the b powers of the letters left and,
-mod 3, that of their d powers.  The tail is exactly what the g pass
-returns, and every merge keeps the sum of the pair powers and, mod 3,
-that of the triple powers, so the four are read off the unique normal
-form and equal elements agree on them.  Results are built through the
+elements is equality of normal forms.  are_equal first cancels: p x s
+and p y s are equal exactly when x and y are, so it drops the longest
+common prefix and suffix of the two parsed words, found by the doubling
+and halving slice search of words._common_prefix, and works on the
+middles alone, so an equal pair pays the g pass and the merge of what
+is left, not of both words.  It then compares four invariants of the g
+pass of the middles and merges only when they all agree: the g bit, the
+a bit, the sum of the b powers of the letters left and, mod 3, that of
+their d powers.  The tail is exactly what the g pass returns, and every
+merge keeps the sum of the pair powers and, mod 3, that of the triple
+powers, so the four are read off the unique normal form and equal
+elements agree on them.  Results are built through the
 slot descriptors without running check_syllables again; the public
 NormalForm constructor keeps its syllables as a tuple and checks them.
 Syllables are shared: each letter's syllable, each triple syllable and
@@ -66,6 +71,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .stabilizers import EDGE_A, EDGE_G, EDGE_GA, EDGE_IDENTITY, EdgeStabilizer
+from .words import _common_prefix
 
 __all__ = [
     "GENERATOR_ALPHABET",
@@ -132,9 +138,9 @@ def _syllable_text(side: str, power: int) -> str:
 
 
 def check_syllables(syllables: tuple[tuple[str, int], ...]) -> None:
-    """Raise ValueError unless every syllable is ("P", k) with k != 0 or
-    ("Q", m) with m in {1, 2}, each power of type int (not bool), and
-    neighbouring syllables lie on different sides.
+    """Raise ValueError unless every syllable is a tuple ("P", k) with
+    k != 0 or ("Q", m) with m in {1, 2}, each power of type int (not
+    bool), and neighbouring syllables lie on different sides.
 
     >>> check_syllables((("P", 1), ("P", 2)))
     Traceback (most recent call last):
@@ -144,8 +150,16 @@ def check_syllables(syllables: tuple[tuple[str, int], ...]) -> None:
     Traceback (most recent call last):
     ...
     ValueError: syllable power must be an int, got 1.5 of type float
+    >>> check_syllables((["Q", 1],))
+    Traceback (most recent call last):
+    ...
+    ValueError: syllable must be a (side, power) tuple, got ['Q', 1]
     """
-    for side, power in syllables:
+    for syllable in syllables:
+        # a tuple, so that a NormalForm and a tree vertex hash
+        if type(syllable) is not tuple or len(syllable) != 2:
+            raise ValueError(f"syllable must be a (side, power) tuple, got {syllable!r}")
+        side, power = syllable
         if type(power) is not int:
             raise ValueError(
                 f"syllable power must be an int, got {power!r} of type {type(power).__name__}"
@@ -253,12 +267,12 @@ def _merge(factors: Iterable[tuple[str, int]], syllables: list) -> tuple[tuple[s
     return tuple(syllables)
 
 
-def _g_pass(word: str) -> tuple[str, int, int]:
-    """The b, B, d, D letters a word leaves once every g has moved to
-    the right end, and the g and a bits of the tail it leaves there."""
+def _g_pass(letters: str) -> tuple[str, int, int]:
+    """The b, B, d, D letters a parsed word leaves once every g has moved
+    to the right end, and the g and a bits of the tail it leaves there."""
     # the segments after an odd number of g's are conjugated by g, which
     # swaps d and D and leaves one t per b or B behind
-    parts = parse(word).split("g")
+    parts = letters.split("g")
     a = 0
     if len(parts) > 1:
         odd = "g".join(parts[1::2])
@@ -286,7 +300,7 @@ def normal_form(word: str) -> NormalForm:
     >>> normal_form("gg").is_identity()
     True
     """
-    letters, g, a = _g_pass(word)
+    letters, g, a = _g_pass(parse(word))
     return _trusted(_syllables(letters), _TAIL[g][a])
 
 
@@ -322,21 +336,35 @@ def inv_nf(u: NormalForm) -> NormalForm:
 def are_equal(u: str, v: str) -> bool:
     """Word problem: do two generator words define the same element?
 
-    Words that differ in the g bit, the a bit, the b-power sum or the
+    Both words are parsed, u first.  By left and right cancellation
+    p x s and p y s are equal exactly when x and y are, so the longest
+    common prefix and suffix of the parsed words go first and only the
+    middles are compared; here they are "gdg" and "D":
+
+    >>> are_equal("bd" + "gdg" + "Bd", "bd" + "D" + "Bd")
+    True
+
+    Middles that differ in the g bit, the a bit, the b-power sum or the
     d-power sum mod 3 of the g pass are unequal without any merging:
 
     >>> are_equal("ddd", "d")
     False
 
-    Words that agree on all four are merged and their syllables compared:
+    Middles that agree on all four are merged and their syllables compared:
 
     >>> are_equal("ad", "da")
     True
     >>> are_equal("bd", "db")
     False
     """
-    lu, gu, au = _g_pass(u)
-    lv, gv, av = _g_pass(v)
+    u, v = parse(u), parse(v)
+    # the prefix, then the suffix of what the prefix leaves of the shorter
+    # word, through (u + v) and its reverse (v reversed, then u reversed)
+    uv, n = u + v, min(len(u), len(v))
+    head = _common_prefix(uv, 0, len(u), n)
+    tail = _common_prefix(uv[::-1], 0, len(v), n - head)
+    lu, gu, au = _g_pass(u[head:len(u) - tail])
+    lv, gv, av = _g_pass(v[head:len(v) - tail])
     if gu != gv or au != av or _power_sums(lu) != _power_sums(lv):
         return False
     return _syllables(lu) == _syllables(lv)

@@ -72,6 +72,7 @@ __all__ = [
     "blocking",
     "build",
     "VERTEX_CAP",
+    "SAMPLE_CAP",
     "AxiomReport",
     "verify_axioms",
     "random_based_loop",
@@ -119,6 +120,7 @@ _trusted = tuple.__new__  # _trusted(Slope, (q, p)) for a p/q known to be a slop
 INFINITY = Slope(1, 0)
 BASE = INFINITY
 VERTEX_CAP = 100_000  # the most vertices build lists, as tree.ball's default cap
+SAMPLE_CAP = 1_000_000  # the most samples verify_axioms draws, about 5 s of checks
 
 
 def slope(p: int, q: int) -> Slope:
@@ -304,18 +306,24 @@ def verify_axioms(
     """Sample random adjacency pairs in build(n, window) and check every
     clause of the blocking contract with contract.check_blocking_answer,
     plus the strict decrease after a replacement.  Violations are
-    reported verbatim, never repaired.  ValueError when samples < 0, or
-    when samples > 0 and the window holds no finite slope to sample."""
-    if samples < 0:  # refused before the build, as _check_axioms refuses it
-        raise ValueError("samples must be >= 0")
+    reported verbatim, never repaired.  ValueError when samples < 0 or
+    samples > SAMPLE_CAP, or when samples > 0 and the window holds no
+    finite slope to sample."""
+    _check_sample_count(samples)  # before the build, as _check_axioms checks it
     return _check_axioms(build(n, window), n, samples, seed, window)
+
+
+def _check_sample_count(samples: int) -> None:
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
+    if samples > SAMPLE_CAP:
+        raise ValueError(f"samples must be at most {SAMPLE_CAP}")
 
 
 def _check_axioms(complex_: Complex, n: int, samples: int, seed: int, window: tuple) -> AxiomReport:
     """verify_axioms on an already built complex, build(n, window): its
     label table holds only vertices, sorted, so ids sort as their slopes."""
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
+    _check_sample_count(samples)
     report = AxiomReport(n, samples)
     labels = complex_._labels
     for u in labels:

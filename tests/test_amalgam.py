@@ -8,6 +8,7 @@ the multiplication law against the letter action used to compute it.
 """
 
 import random
+import re
 
 import pytest
 
@@ -163,6 +164,28 @@ def test_syllable_powers_must_be_ints(syllable, shown):
     # the faults of each syllable come before alternation
     with pytest.raises(ValueError, match=message):
         NormalForm((("P", 1), ("P", 2), syllable))
+
+
+# each was accepted, or failed to unpack with no word of the syllable:
+# a list syllable made a NormalForm that hash() refused
+@pytest.mark.parametrize("syllables, shown", [
+    ([["Q", 1]], "['Q', 1]"),
+    (("Q", 1), "'Q'"),
+    ((("Q", 1, 2),), "('Q', 1, 2)"),
+    ((("P",),), "('P',)"),
+    (((),), "()"),
+    ((None,), "None"),
+    ((("P", 1), ["Q", 1]), "['Q', 1]"),
+])
+def test_syllables_must_be_pairs_in_tuples(syllables, shown):
+    message = rf"^syllable must be a \(side, power\) tuple, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=message):
+        NormalForm(syllables)
+    with pytest.raises(ValueError, match=message):
+        amalgam.check_syllables(tuple(syllables))
+    # the faults of each syllable come before alternation
+    with pytest.raises(ValueError, match=message):
+        NormalForm((("Q", 1), ("Q", 2), *syllables))
 
 
 def test_an_int_subclass_power_is_refused_too():

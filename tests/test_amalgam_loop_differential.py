@@ -262,6 +262,35 @@ def test_merge_does_linear_work(n):
             assert merged == stack_ref._merge(raw, list(start))
 
 
+def _letters_left(word):
+    return len(amalgam._g_pass(amalgam.parse(word))[0])
+
+
+def test_are_equal_merges_only_the_middles(monkeypatch):
+    # p x s against p y s with |p| = |s| = 10,000: the merges read no more
+    # letters than the g passes of x and y leave, where merging both whole
+    # words reads the 16,000 or so letters p and s leave, twice
+    rng = random.Random(10_000)
+    p, s = amalgam.random_word(rng, 10_000), amalgam.random_word(rng, 10_000)
+    x = amalgam.random_word(rng, 60)
+    middles = [("gdg", "D", True), ("ad", "da", True), ("ddd", "", True), ("bd", "db", False),
+               (x, x, True), (x, x[:30] + amalgam.random_consequence(rng, 40) + x[30:], True)]
+    merge, reads = amalgam._merge, []
+
+    def counting_merge(factors, syllables):
+        counted = _CountingIterator(factors)
+        merged = merge(counted, syllables)
+        reads.append(counted.reads)
+        return merged
+
+    monkeypatch.setattr(amalgam, "_merge", counting_merge)
+    for x, y, equal in middles:
+        reads.clear()
+        assert amalgam.are_equal(p + x + s, p + y + s) == equal
+        assert len(reads) == 2  # the invariants agree, so both middles merge
+        assert sum(reads) <= _letters_left(x) + _letters_left(y)
+
+
 # any code point; lone surrogates are rare among all characters, so they
 # are drawn on their own as well
 any_text = st.text(st.one_of(

@@ -217,6 +217,19 @@ def test_farey_build_over_the_vertex_cap_is_a_usage_error(capsys):
         assert (code, out, err) == (2, "", "error: build exceeded vertex cap 100000\n")
 
 
+def test_farey_sample_count_over_the_cap_is_a_usage_error(capsys, monkeypatch):
+    # the sample loop is capped at farey.SAMPLE_CAP like every other loop
+    # size the CLI takes; the edge is pinned on a lowered cap
+    for samples in (1_000_001, 10**9):
+        code, out, err = run(capsys, "farey", "--verify-axioms", "--samples", str(samples))
+        assert (code, out, err) == (2, "", "error: samples must be at most 1000000\n")
+    monkeypatch.setattr(farey, "SAMPLE_CAP", 30)
+    code, out, _ = run(capsys, "farey", "--n", "5", "--verify-axioms", "--samples", "30")
+    assert code == 0 and "axioms: 30 samples, 0 violations" in out
+    code, out, err = run(capsys, "farey", "--n", "5", "--verify-axioms", "--samples", "31")
+    assert (code, out, err) == (2, "", "error: samples must be at most 30\n")
+
+
 def test_verify_presentation_over_the_max_len_cap_is_a_usage_error(capsys):
     # a consequence is built letter by letter before normal_form sees it;
     # the cap (amalgam.MAX_CONSEQUENCE_LEN) refuses a longer max_len

@@ -1,6 +1,7 @@
 """Coset-tree balls, the left action, stabilizers and the quotient."""
 
 import random
+import re
 import time
 
 import pytest
@@ -186,6 +187,20 @@ def test_act_rejects_a_power_that_is_not_an_int(power, shown):
         act("b", (PAIR, (("Q", power),)))
     with pytest.raises(ValueError, match=message):
         act_edge("b", (("Q", 1), ("P", power)))
+
+
+# a list syllable gave the unhashable vertex ('pair', (('P', 1), ['Q', 1])),
+# and a bare pair or a 3-tuple failed to unpack with no word of the syllable
+@pytest.mark.parametrize("rep, shown", [([["Q", 1]], "['Q', 1]"), (("Q", 1), "'Q'"),
+                                        ((("Q", 1, 2),), "('Q', 1, 2)")])
+def test_act_rejects_a_syllable_that_is_not_a_pair_tuple(rep, shown):
+    message = rf"^syllable must be a \(side, power\) tuple, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=message):
+        act("b", (PAIR, rep))
+    with pytest.raises(ValueError, match=message):
+        act("b", (TRIPLE, rep))
+    with pytest.raises(ValueError, match=message):
+        act_edge("b", rep)
 
 
 def test_vertex_label():
