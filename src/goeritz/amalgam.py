@@ -359,10 +359,11 @@ def are_equal(u: str, v: str) -> bool:
     """
     u, v = parse(u), parse(v)
     # the prefix, then the suffix of what the prefix leaves of the shorter
-    # word, through (u + v) and its reverse (v reversed, then u reversed)
+    # word, through (u + v) and its reverse (v reversed, then u reversed),
+    # which is built only when the last letters agree
     uv, n = u + v, min(len(u), len(v))
     head = _common_prefix(uv, 0, len(u), n)
-    tail = _common_prefix(uv[::-1], 0, len(v), n - head)
+    tail = _common_prefix(uv[::-1], 0, len(v), n - head) if u[-1:] == v[-1:] else 0
     lu, gu, au = _g_pass(u[head:len(u) - tail])
     lv, gv, av = _g_pass(v[head:len(v) - tail])
     if gu != gv or au != av or _power_sums(lu) != _power_sums(lv):
