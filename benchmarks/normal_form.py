@@ -20,18 +20,18 @@ changed to another of b B g d D, the word with 2 + n/500 random relator
 consequences of at most 60 letters inserted, and the word between two
 such consequences, the first of which starts with another letter than
 the word and the second ends with another.  The first two are the
-mutant and padding rules of perfbench's word ops: they share all but a
-middle of the word with it, one letter for the mutant, which the
-invariants of the g pass then tell apart, and the span of the inserted
-consequences for the padded pair, which is merged.  The wrapped pair is
-equal and shares no end, so it is merged in full with nothing cancelled.  The rows "merge/random" and
-"merge/alternating" time `_merge` alone on the b, B, d, D letters the g
-pass leaves of each word.  The rows for layer "amalgam_reference" time
-the former quadratic rewriter kept in tests/amalgam_reference.py, on
-the rungs up to 4k only, and, as "merge/*" on every rung and the same
-letters, the former stack loop of `_merge` kept in
-tests/amalgam_stack_merge_reference.py, so that both merge cores are
-timed in one process.  Timer, record format and `--parent` are those of
+mutant and padding rules of perfbench's word ops.  Both pairs share
+their ends, so `are_equal` cancels all but a middle: one letter for the
+mutant, which the invariants of the g pass then tell apart, and the
+span of the inserted consequences for the padded pair, which is merged.
+The wrapped pair is equal and shares no end, so it is merged in full.
+The rows "merge/random" and "merge/alternating" time `_merge` alone on
+the b, B, d, D letters the g pass leaves of each word.  The rows for
+layer "amalgam_reference" time the former quadratic rewriter kept in
+tests/amalgam_reference.py, on the rungs up to 4k only, and, as
+"merge/*" on every rung and the same letters, the former stack loop of
+`_merge` kept in tests/amalgam_stack_merge_reference.py, so that both
+merge cores are timed in one process.  Timer, record format and `--parent` are those of
 benchmarks/ladder.py.
 """
 

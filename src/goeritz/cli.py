@@ -223,6 +223,8 @@ def _cmd_simplicial(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_farey(args: argparse.Namespace) -> _Result:
+    if args.verify_axioms:  # refused before the build, as verify_axioms refuses it
+        farey._check_sample_count(args.samples)
     complex_ = farey.build(args.n, tuple(args.window))
     vertices, edges, triangles = complex_.f_vector()
     flag, connected = complex_.is_flag(), complex_.is_connected()

@@ -7,6 +7,8 @@ import os
 import sys
 import time
 
+import pytest
+
 from goeritz import cli, farey
 from goeritz.cli import main
 from goeritz.contract import HomotopyCertificate, validate
@@ -222,6 +224,12 @@ def test_farey_sample_count_over_the_cap_is_a_usage_error(capsys, monkeypatch):
     # size the CLI takes; the edge is pinned on a lowered cap
     for samples in (1_000_001, 10**9):
         code, out, err = run(capsys, "farey", "--verify-axioms", "--samples", str(samples))
+        assert (code, out, err) == (2, "", "error: samples must be at most 1000000\n")
+    # refused before the build, which takes about a second near its vertex cap
+    with monkeypatch.context() as patch:
+        patch.setattr(farey, "build", lambda n, window=(0, 1): pytest.fail("built a complex"))
+        code, out, err = run(capsys, "farey", "--n", "500", "--verify-axioms",
+                             "--samples", "1000001")
         assert (code, out, err) == (2, "", "error: samples must be at most 1000000\n")
     monkeypatch.setattr(farey, "SAMPLE_CAP", 30)
     code, out, _ = run(capsys, "farey", "--n", "5", "--verify-axioms", "--samples", "30")
