@@ -77,7 +77,6 @@ __all__ = [
     "GENERATOR_ALPHABET",
     "NormalForm",
     "check_syllables",
-    "IDENTITY_NF",
     "parse",
     "invert_word",
     "random_word",
@@ -202,9 +201,6 @@ class NormalForm:
         head = " ".join(_syllable_text(*s) for s in self.syllables)
         tail = f"tail={self.tail}"
         return f"{head} | {tail}" if head else tail
-
-
-IDENTITY_NF = NormalForm()
 
 
 # the edge-stabilizer element g^g a^a as _TAIL[g][a], built once

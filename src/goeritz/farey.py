@@ -63,7 +63,6 @@ __all__ = [
     "INFINITY",
     "slope",
     "parse_slope",
-    "det_intersection",
     "adjacent",
     "remoteness",
     "mediant",
@@ -147,11 +146,6 @@ def parse_slope(text: str) -> Slope:
         top, bottom = text.split("/", 1)
         return slope(int(top), int(bottom))
     return Slope(int(text), 1)
-
-
-def det_intersection(u: Slope, v: Slope) -> int:
-    """|p s - q r|, the geometric intersection number of the slopes."""
-    return abs(u.p * v.q - u.q * v.p)
 
 
 def adjacent(u: Slope, v: Slope) -> bool:
@@ -365,6 +359,12 @@ def random_based_loop(
 ) -> list[Slope]:
     """A seeded random based loop: a neighbour walk away from infinity
     followed by a parent descent back home."""
+    if max_denominator < 1:
+        raise ValueError(f"max_denominator must be >= 1, got {max_denominator}")
+    if min_steps < 0:
+        raise ValueError(f"min_steps must be >= 0, got {min_steps}")
+    if min_steps > max_steps:
+        raise ValueError(f"min_steps {min_steps} exceeds max_steps {max_steps}")
     rng = random.Random(seed)
     path = [INFINITY]
     current = INFINITY

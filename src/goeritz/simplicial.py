@@ -10,16 +10,15 @@ simplices as a frozenset of sorted id tuples, which hash and compare in C
 and which the cyclic GC stops tracking.  A complex built from labels
 numbers them in `_label_sorted` order, so complexes built from the same
 labels have equal tables and compare as int sets.  A subcomplex (star,
-link, full subcomplex, open-star removal) keeps its parent's table, so a
-table may hold labels that are no longer vertices.  Labels appear only at
-the boundary: `simplices`, `vertices`, `maximal_simplices` and JSON map
-ids to labels, and `has`, `adjacent`, `star`, `link` and
-`full_subcomplex` map the labels they are given to ids.
+open-star removal) keeps its parent's table, so a table may hold labels
+that are no longer vertices.  Labels appear only at the boundary:
+`simplices`, `vertices`, `maximal_simplices` and JSON map ids to labels,
+and `adjacent` and `star` map the labels they are given to ids.
 
 Two vertices are adjacent when they are equal or span an edge; the star
-of v is the full subcomplex on the vertices adjacent to v, and the link
-is the boundary part of the star away from v.  A complex is flag when
-every three pairwise-adjacent distinct vertices span a triangle.
+of v is the full subcomplex on the vertices adjacent to v.  A complex is
+flag when every three pairwise-adjacent distinct vertices span a
+triangle.
 
 The barycentric subdivision has one vertex per simplex, labelled by
 `_label_sorted` of the simplex's labels, and one simplex per chain in the
@@ -111,14 +110,6 @@ class Complex:
             counts[len(s) - 1] += 1
         return counts[0], counts[1], counts[2]
 
-    def has(self, simplex: Iterable[Label]) -> bool:
-        index = self._index()
-        try:
-            ids = {index[v] for v in simplex}
-        except KeyError:
-            return False
-        return tuple(sorted(ids)) in self._simplices
-
     def dim(self) -> int:
         """Dimension; -1 for the empty complex."""
         return max(map(len, self._simplices), default=0) - 1
@@ -148,18 +139,12 @@ class Complex:
         v, e, f = self.f_vector()
         return f"Complex(V={v}, E={e}, F={f})"
 
-    # -- adjacency, star, link ----------------------------------------
+    # -- adjacency and star -------------------------------------------
 
     def adjacent(self, w: Label, v: Label) -> bool:
         """True when w and v are equal or span an edge."""
         i, j = sorted((self._id(w), self._id(v)))
         return i == j or (i, j) in self._simplices
-
-    def full_subcomplex(self, keep: Iterable[Label]) -> "Complex":
-        """All simplices whose vertices all lie in `keep`."""
-        index = self._index()
-        ids = {index[v] for v in keep if v in index}
-        return _from_ids(self._labels, filter(ids.issuperset, self._simplices))
 
     def star(self, v: Label) -> "Complex":
         """The full subcomplex on all vertices adjacent to v (v included)."""
@@ -169,15 +154,6 @@ class Complex:
             if len(s) == 2 and i in s:
                 near.update(s)
         return _from_ids(self._labels, filter(near.issuperset, self._simplices))
-
-    def link(self, v: Label) -> "Complex":
-        """Simplices not containing v whose join with v lies in the complex."""
-        i = self._id(v)
-        simplices = self._simplices
-        return _from_ids(
-            self._labels,
-            (s for s in simplices if i not in s and tuple(sorted(s + (i,))) in simplices),
-        )
 
     # -- structure tests ----------------------------------------------
 

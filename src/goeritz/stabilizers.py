@@ -37,14 +37,6 @@ __all__ = [
     "PairStabilizer",
     "TripleStabilizer",
     "EdgeStabilizer",
-    "PAIR_IDENTITY",
-    "PAIR_B",
-    "PAIR_G",
-    "PAIR_T",
-    "TRIPLE_IDENTITY",
-    "TRIPLE_D",
-    "TRIPLE_G",
-    "TRIPLE_A",
     "EDGE_IDENTITY",
     "EDGE_G",
     "EDGE_A",
@@ -70,14 +62,6 @@ class EdgeStabilizer:
 
     def inverse(self) -> "EdgeStabilizer":
         return self  # every element squares to the identity
-
-    def in_pair(self) -> "PairStabilizer":
-        """Embed into the pair stabilizer: g -> g, a -> t."""
-        return PairStabilizer(0, self.a, self.g)
-
-    def in_triple(self) -> "TripleStabilizer":
-        """Embed into the triple stabilizer: g -> g, a -> a."""
-        return TripleStabilizer(0, self.g, self.a)
 
     def is_identity(self) -> bool:
         return self.g == 0 and self.a == 0
@@ -176,16 +160,6 @@ class TripleStabilizer:
             parts.append("a")
         return " ".join(parts) or "1"
 
-
-PAIR_IDENTITY = PairStabilizer(0, 0, 0)
-PAIR_B = PairStabilizer(1, 0, 0)
-PAIR_T = PairStabilizer(0, 1, 0)
-PAIR_G = PairStabilizer(0, 0, 1)
-
-TRIPLE_IDENTITY = TripleStabilizer(0, 0, 0)
-TRIPLE_D = TripleStabilizer(1, 0, 0)
-TRIPLE_G = TripleStabilizer(0, 1, 0)
-TRIPLE_A = TripleStabilizer(0, 0, 1)
 
 EDGE_IDENTITY = EdgeStabilizer(0, 0)
 EDGE_G = EdgeStabilizer(1, 0)

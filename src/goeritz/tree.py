@@ -12,8 +12,8 @@ is named by its representative alone.  The endpoint rule, stated in
 ``_end``: the vertex of a kind at the end of the edge ``rep`` is ``rep``
 with a trailing syllable of that kind's own side ("P" for pair, "Q" for
 triple) dropped, since that syllable moves within the same coset.
-``act`` and ``edge_endpoints`` call ``_end``; ``_edge_ends``, which
-``is_tree`` and ``to_dot`` read, inlines it once.
+``act`` calls ``_end``; ``_edge_ends``, which ``is_tree`` and
+``to_dot`` read, inlines it once.
 Canonical pair representatives therefore never end in "P" and triple
 representatives never end in "Q".  Distinct canonical representatives
 name distinct cosets because normal forms are unique.
@@ -48,7 +48,6 @@ __all__ = [
     "BASE_PAIR_VERTEX",
     "BASE_TRIPLE_VERTEX",
     "BASE_EDGE",
-    "edge_endpoints",
     "rep_word",
     "vertex_label",
     "ball",
@@ -88,11 +87,6 @@ def _end(kind: str, rep: Rep) -> Vertex:
     if rep and rep[-1][0] == ("P" if kind == PAIR else "Q"):
         rep = rep[:-1]
     return kind, rep
-
-
-def edge_endpoints(rep: Rep) -> tuple[Vertex, Vertex]:
-    """The pair vertex and triple vertex joined by the edge rep."""
-    return _end(PAIR, rep), _end(TRIPLE, rep)
 
 
 def rep_word(rep: Rep) -> str:

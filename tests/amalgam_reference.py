@@ -6,7 +6,9 @@
 # Its edits since: Syllable objects became (side, power) tuples, and it
 # carries its own verbatim copy of the per-character parse that
 # goeritz.amalgam used before parse ran as str.translate and str.replace,
-# so that it shares no input handling with the code it checks.
+# so that it shares no input handling with the code it checks.  It
+# defines its own IDENTITY_NF and takes in_pair from
+# tests/stabilizers_reference.py, since the package no longer has them.
 """Right-to-left normal-form rewriting for the genus-2 Goeritz group.
 
 The normal form of a suffix is maintained and each new letter is
@@ -16,8 +18,11 @@ into the tail.
 
 from __future__ import annotations
 
-from goeritz.amalgam import IDENTITY_NF, NormalForm
+from goeritz.amalgam import NormalForm
 from goeritz.stabilizers import EdgeStabilizer, PairStabilizer, TripleStabilizer
+from stabilizers_reference import in_pair
+
+IDENTITY_NF = NormalForm()
 
 GENERATOR_ALPHABET = "bBgdD"
 _MACROS = {"a": "bgBg", "t": "bgBg"}
@@ -118,7 +123,7 @@ def normal_form(word: str) -> NormalForm:
 
 def mul_nf(u: NormalForm, v: NormalForm) -> NormalForm:
     """Product of two normal forms."""
-    result = _mul_pair_left(u.tail.in_pair(), v)
+    result = _mul_pair_left(in_pair(u.tail), v)
     for side, power in reversed(u.syllables):
         if side == "P":
             result = _mul_pair_left(PairStabilizer(power, 0, 0), result)
@@ -135,4 +140,4 @@ def inv_nf(u: NormalForm) -> NormalForm:
             result = _mul_pair_left(PairStabilizer(-power, 0, 0), result)
         else:
             result = _mul_triple_left(TripleStabilizer((-power) % 3, 0, 0), result)
-    return _mul_pair_left(u.tail.inverse().in_pair(), result)
+    return _mul_pair_left(in_pair(u.tail.inverse()), result)

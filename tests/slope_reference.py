@@ -13,7 +13,8 @@
 # fault in the package's contract check cannot hide here; _reflexive is
 # the wrapper goeritz.contract once put round every adjacency oracle, so
 # the two agree on every oracle that keeps the reflexive contract.  The
-# oracles (adjacent, remoteness, blocking) are the package's.
+# oracles (adjacent, remoteness, blocking) are the package's, and
+# det_intersection is tests/farey_reference.py's.
 
 from __future__ import annotations
 
@@ -39,10 +40,9 @@ from goeritz.farey import (
     AxiomReport,
     adjacent,
     blocking,
-    det_intersection,
     remoteness,
 )
-from farey_reference import WitnessNotFound
+from farey_reference import WitnessNotFound, det_intersection
 from simplicial_reference import Complex
 
 

@@ -16,7 +16,6 @@ from finite_quotients import image
 from goeritz import amalgam
 from goeritz.amalgam import (
     DEFAULT_RELATORS,
-    IDENTITY_NF,
     NormalForm,
     are_equal,
     inv_nf,
@@ -50,7 +49,7 @@ def test_invert_word():
 
 
 def test_identity_and_single_letters():
-    assert normal_form("") == IDENTITY_NF
+    assert normal_form("") == NormalForm()
     assert str(normal_form("b")) == "P(b^1) | tail=1"
     assert str(normal_form("d")) == "Q(d^1) | tail=1"
     assert str(normal_form("g")) == "tail=g"
@@ -93,8 +92,8 @@ def test_inverse_normal_form():
     for _ in range(300):
         u = random_word(rng, rng.randint(0, 15))
         nf = normal_form(u)
-        assert mul_nf(nf, inv_nf(nf)) == IDENTITY_NF
-        assert mul_nf(inv_nf(nf), nf) == IDENTITY_NF
+        assert mul_nf(nf, inv_nf(nf)) == NormalForm()
+        assert mul_nf(inv_nf(nf), nf) == NormalForm()
         assert inv_nf(nf) == normal_form(invert_word(u))
 
 

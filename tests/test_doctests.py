@@ -1,15 +1,17 @@
-"""Run the docstring examples shipped inside the package modules."""
+"""Run the docstring examples shipped inside every package module."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-from goeritz import amalgam, contract, farey, simplicial, stabilizers, tree, words
+import goeritz
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(goeritz.__path__, "goeritz."))
 
 
-@pytest.mark.parametrize(
-    "module", [words, stabilizers, amalgam, tree, simplicial, contract, farey]
-)
-def test_module_doctests(module):
-    failures, _ = doctest.testmod(module, verbose=False)
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name), verbose=False)
     assert failures == 0

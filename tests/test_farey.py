@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from farey_reference import det_intersection
 from goeritz import cli, contract, farey
 from goeritz.farey import (
     BASE,
@@ -19,7 +20,6 @@ from goeritz.farey import (
     adjacent,
     blocking,
     build,
-    det_intersection,
     mediant,
     neighbours,
     parents,
@@ -440,6 +440,17 @@ def test_random_based_loop_shape():
 def test_random_based_loop_is_deterministic():
     assert random_based_loop(7) == random_based_loop(7)
     assert random_based_loop(7) != random_based_loop(8)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((0, 0), "max_denominator"),
+    ((0, 50, 5, 4), "min_steps"),
+    ((0, 50, -2, -1), "min_steps"),
+])
+def test_random_based_loop_rejects_bad_counts_before_drawing(monkeypatch, args, name):
+    monkeypatch.setattr(farey, "random", None)  # any draw raises AttributeError
+    with pytest.raises(ValueError, match=name):
+        random_based_loop(*args)
 
 
 def _degrees_if_tree(graph):

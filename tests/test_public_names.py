@@ -1,5 +1,6 @@
-"""Every module's __all__ names only what the module defines, and the
-package imports nothing at runtime beyond the standard library."""
+"""Every module's __all__ names only what the module defines and what
+some caller outside the tests reads, and the package imports nothing at
+runtime beyond the standard library."""
 
 import ast
 import importlib
@@ -12,6 +13,15 @@ import pytest
 import goeritz
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(goeritz.__path__))
+ROOT = Path(__file__).resolve().parent.parent
+CALLER_DIRS = (Path(goeritz.__path__[0]), ROOT / "benchmarks", ROOT / "perfbench")
+
+# public names that nothing outside the tests reads yet, each with the
+# consumer that keeps it
+KEPT = {
+    "abelianize": "ROADMAP item 7, the slope bridge of a primitive word",
+    "iter_cyclically_reduced": "criterion 6 in tests/test_acceptance.py",
+}
 
 
 def test_every_module_is_covered():
@@ -42,3 +52,32 @@ def test_runtime_imports_are_standard_library(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             tops.add(node.module.split(".")[0])
     assert not sorted(tops - sys.stdlib_module_names)
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Names a module reads: loaded names, attributes and imported names.
+    Definitions store or bind a name, and __all__ lists it as a string, so
+    neither counts."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    reads = set()
+    for directory in CALLER_DIRS:
+        for path in sorted(directory.glob("*.py")):
+            reads |= _reads(ast.parse(path.read_text(), str(path)))
+    public = [(name, n) for name in MODULES
+              for n in importlib.import_module(f"goeritz.{name}").__all__]
+    unread = [f"{name}.{n}" for name, n in public if n not in reads and n not in KEPT]
+    assert not unread, ", ".join(unread)
+    # a KEPT entry goes once its name gains a reader or leaves __all__
+    stale = [n for n in KEPT if n in reads or n not in {n for _, n in public}]
+    assert not stale, ", ".join(stale)

@@ -19,13 +19,17 @@ from goeritz.tree import (
     act,
     act_edge,
     ball,
-    edge_endpoints,
     is_tree,
     quotient,
     rep_word,
     to_dot,
     vertex_label,
 )
+
+
+def edge_endpoints(rep):
+    """The pair vertex and triple vertex joined by the edge rep."""
+    return _end(PAIR, rep), _end(TRIPLE, rep)
 
 
 def test_base_objects():
