@@ -80,7 +80,7 @@ __all__ = [
 
 
 class Slope(tuple):
-    """A slope p/q in lowest terms with q >= 0; 1/0 is infinity.
+    """A slope p/q of ints in lowest terms with q >= 0; 1/0 is infinity.
 
     Held as the tuple (q, p): hash, == and order (q, then p) run in C.  It
     equals the tuple (q, p) but does not iterate, so it never unpacks as a pair.
@@ -89,6 +89,9 @@ class Slope(tuple):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int) -> "Slope":
+        if type(p) is not int or type(q) is not int:
+            name, value = ("p", p) if type(p) is not int else ("q", q)
+            raise TypeError(f"slope {name} must be an int, not {type(value).__name__}")
         if q < 0:
             raise ValueError("denominator must be non-negative")
         if q == 0 and p != 1:

@@ -1,10 +1,13 @@
 """The three finite-normal-form stabilizer groups behind the amalgam.
 
 The genus-2 Goeritz group decomposes as an amalgamated free product of
-two vertex stabilizers over an edge stabilizer.  All three have exact
-normal forms on small integer data, worked out here once.  The
-rewriting loop in :mod:`goeritz.amalgam` applies the two exchange rules
-below to plain ints instead of building these objects.
+two vertex stabilizers over an edge stabilizer, each with an exact
+normal form on small ints.  :mod:`goeritz.amalgam` applies the exchange
+rules below to plain ints.  ``EdgeStabilizer`` is the tail of its normal
+forms (``is_identity``, ``str``); ``TRIPLE_ELEMENTS``, ``EDGE_ELEMENTS``
+and the triple ``str`` print in ``goeritz stabilizers``; ``__mul__`` and
+``decompose`` state the rules for perfbench's counters and the rewriting
+reference in the tests.  tests/test_stabilizers.py checks the group laws.
 
 Pair stabilizer  (infinite):
     generated by b and the involution g, with the central involution
@@ -55,13 +58,10 @@ class EdgeStabilizer:
 
     def __post_init__(self) -> None:
         if self.g not in (0, 1) or self.a not in (0, 1):
-            raise ValueError(f"edge stabilizer bits must be 0/1, got {self}")
+            raise ValueError(f"edge stabilizer bits must be 0/1, got {self!r}")
 
     def __mul__(self, other: "EdgeStabilizer") -> "EdgeStabilizer":
         return EdgeStabilizer((self.g + other.g) % 2, (self.a + other.a) % 2)
-
-    def inverse(self) -> "EdgeStabilizer":
-        return self  # every element squares to the identity
 
     def is_identity(self) -> bool:
         return self.g == 0 and self.a == 0
@@ -80,7 +80,7 @@ class PairStabilizer:
 
     def __post_init__(self) -> None:
         if self.t not in (0, 1) or self.g not in (0, 1):
-            raise ValueError(f"pair stabilizer bits must be 0/1, got {self}")
+            raise ValueError(f"pair stabilizer bits must be 0/1, got {self!r}")
 
     def __mul__(self, other: "PairStabilizer") -> "PairStabilizer":
         # move other's b^m leftwards past our trailing g^g: each pass
@@ -92,27 +92,9 @@ class PairStabilizer:
             (self.g + other.g) % 2,
         )
 
-    def inverse(self) -> "PairStabilizer":
-        if self.g == 0:
-            return PairStabilizer(-self.k, self.t, 0)
-        return PairStabilizer(-self.k, (self.t + self.k) % 2, 1)
-
     def decompose(self) -> tuple[int, EdgeStabilizer]:
         """Split as b^k times an edge stabilizer element."""
         return self.k, EdgeStabilizer(self.g, self.t)
-
-    def is_identity(self) -> bool:
-        return self.k == 0 and self.t == 0 and self.g == 0
-
-    def __str__(self) -> str:
-        parts = []
-        if self.k:
-            parts.append(f"b^{self.k}")
-        if self.t:
-            parts.append("t")
-        if self.g:
-            parts.append("g")
-        return " ".join(parts) or "1"
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +107,9 @@ class TripleStabilizer:
 
     def __post_init__(self) -> None:
         if self.d not in (0, 1, 2):
-            raise ValueError(f"d power must be 0..2, got {self}")
+            raise ValueError(f"d power must be 0..2, got {self!r}")
         if self.g not in (0, 1) or self.a not in (0, 1):
-            raise ValueError(f"triple stabilizer bits must be 0/1, got {self}")
+            raise ValueError(f"triple stabilizer bits must be 0/1, got {self!r}")
 
     def __mul__(self, other: "TripleStabilizer") -> "TripleStabilizer":
         # dihedral exchange: g d^m = d^-m g; a is central
@@ -138,17 +120,9 @@ class TripleStabilizer:
             (self.a + other.a) % 2,
         )
 
-    def inverse(self) -> "TripleStabilizer":
-        if self.g == 1:
-            return self  # reflections are involutions
-        return TripleStabilizer((-self.d) % 3, 0, self.a)
-
     def decompose(self) -> tuple[int, EdgeStabilizer]:
         """Split as d^m times an edge stabilizer element."""
         return self.d, EdgeStabilizer(self.g, self.a)
-
-    def is_identity(self) -> bool:
-        return self.d == 0 and self.g == 0 and self.a == 0
 
     def __str__(self) -> str:
         parts = []

@@ -132,10 +132,13 @@ def ball(radius: int, max_power: int, cap: int = 100_000) -> TreeBall:
 def act(word: str, vertex: Vertex) -> Vertex:
     """Left action of a group element (given as a word) on a vertex.
 
-    Raises ValueError unless the vertex is a ``(kind, rep)`` key with a
-    known kind and a canonical rep for it.
+    Raises ValueError unless the vertex is a ``(kind, rep)`` pair of a
+    known kind and canonical rep, and TypeError for a rep not a sequence.
     """
-    kind, rep = vertex
+    try:
+        kind, rep = vertex
+    except (TypeError, ValueError):
+        raise ValueError(f"vertex must be a (kind, rep) pair, got {vertex!r}") from None
     if kind not in (PAIR, TRIPLE):
         raise ValueError(f"unknown vertex kind {kind!r}")
     nf = NormalForm(rep)  # checks the syllables

@@ -8,7 +8,9 @@
 # goeritz.amalgam used before parse ran as str.translate and str.replace,
 # so that it shares no input handling with the code it checks.  It
 # defines its own IDENTITY_NF and takes in_pair from
-# tests/stabilizers_reference.py, since the package no longer has them.
+# tests/stabilizers_reference.py, since the package no longer has them,
+# and inv_nf takes u.tail as its own inverse, the same element, since
+# every edge-stabilizer element is an involution.
 """Right-to-left normal-form rewriting for the genus-2 Goeritz group.
 
 The normal form of a suffix is maintained and each new letter is
@@ -140,4 +142,4 @@ def inv_nf(u: NormalForm) -> NormalForm:
             result = _mul_pair_left(PairStabilizer(-power, 0, 0), result)
         else:
             result = _mul_triple_left(TripleStabilizer((-power) % 3, 0, 0), result)
-    return _mul_pair_left(in_pair(u.tail.inverse()), result)
+    return _mul_pair_left(in_pair(u.tail), result)

@@ -51,6 +51,19 @@ def test_slope_validation():
         slope(0, 0)
 
 
+# Slope(True, 1) printed as "True/1", which parse_slope cannot read back,
+# and Slope(1.0, 0) was accepted as infinity
+@pytest.mark.parametrize("p, q, message", [
+    (True, 1, "slope p must be an int, not bool"),
+    (1, True, "slope q must be an int, not bool"),
+    (1.0, 0, "slope p must be an int, not float"),
+    (1, "2", "slope q must be an int, not str"),
+])
+def test_slope_refuses_a_value_that_is_not_an_int(p, q, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        Slope(p, q)
+
+
 def test_parse_and_str():
     assert parse_slope("inf") == INFINITY
     assert parse_slope("3/5") == Slope(3, 5)

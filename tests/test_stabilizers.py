@@ -7,9 +7,12 @@ the permutation matrix, and the central involution to -I.  These are
 monomial matrices with entries +-v^k, held exactly on plain ints.  The
 triple side embeds into S_3 x Z/2 as (permutation, bit) pairs.  Both
 models are exact, so agreement on products pins the laws completely.
+Inverses are found by search among the elements, since the classes keep
+no inverse of their own.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,6 +85,14 @@ def random_pair(rng):
     return PairStabilizer(rng.randint(-8, 8), rng.randint(0, 1), rng.randint(0, 1))
 
 
+def the_inverse(x, candidates, identity):
+    """The one candidate y with x y = 1, checked to give y x = 1 too."""
+    found = [y for y in candidates if x * y == identity]
+    assert len(found) == 1, (x, found)
+    assert found[0] * x == identity
+    return found[0]
+
+
 def test_monomial_model_multiplies_like_matrices():
     rng = random.Random(4)
     v = Fraction(3, 2)
@@ -123,11 +134,13 @@ def test_pair_matrix_model_is_faithful_on_small_box():
 
 
 def test_pair_inverses():
+    # x y = 1 forces y = b^-k t^e g^g, so the box |k'| <= |k| + 1 holds it
     rng = random.Random(1)
     for _ in range(200):
         x = random_pair(rng)
-        assert x * x.inverse() == PAIR_IDENTITY
-        assert x.inverse() * x == PAIR_IDENTITY
+        box = [PairStabilizer(k, t, g) for k in range(-abs(x.k) - 1, abs(x.k) + 2)
+               for t in range(2) for g in range(2)]
+        assert the_inverse(x, box, PAIR_IDENTITY).k == -x.k
 
 
 def test_pair_associativity_random():
@@ -213,8 +226,7 @@ def test_triple_associativity_exhaustively():
 
 def test_triple_inverses_and_involutions():
     for x in TRIPLE_ELEMENTS:
-        assert x * x.inverse() == TRIPLE_IDENTITY
-        assert x.inverse() * x == TRIPLE_IDENTITY
+        the_inverse(x, TRIPLE_ELEMENTS, TRIPLE_IDENTITY)
         if x.g == 1:
             assert x * x == TRIPLE_IDENTITY  # reflections are involutions
     assert TRIPLE_D * TRIPLE_D * TRIPLE_D == TRIPLE_IDENTITY
@@ -240,7 +252,7 @@ def test_edge_group_is_klein_four():
     assert len(elements) == 4
     for x in elements:
         assert x * x == EDGE_IDENTITY
-        assert x.inverse() == x
+        assert the_inverse(x, elements, EDGE_IDENTITY) == x
         for y in elements:
             assert x * y == y * x
     assert EDGE_G * EDGE_A == EDGE_GA
@@ -264,9 +276,19 @@ def test_edge_embeddings_are_injective_and_send_a_to_t():
 
 
 def test_validation_rejects_bad_fields():
-    with pytest.raises(ValueError):
-        PairStabilizer(0, 2, 0)
-    with pytest.raises(ValueError):
-        TripleStabilizer(3, 0, 0)
-    with pytest.raises(ValueError):
-        EdgeStabilizer(0, -1)
+    # each message shows the bad field: they read "got t", "got a", "got 1"
+    # and "got gg" when they printed the element as a word
+    for make, message in [
+        (lambda: PairStabilizer(0, 2, 0),
+         "pair stabilizer bits must be 0/1, got PairStabilizer(k=0, t=2, g=0)"),
+        (lambda: TripleStabilizer(0, 0, 2),
+         "triple stabilizer bits must be 0/1, got TripleStabilizer(d=0, g=0, a=2)"),
+        (lambda: TripleStabilizer(3, 0, 0),
+         "d power must be 0..2, got TripleStabilizer(d=3, g=0, a=0)"),
+        (lambda: EdgeStabilizer(0, -1),
+         "edge stabilizer bits must be 0/1, got EdgeStabilizer(g=0, a=-1)"),
+        (lambda: EdgeStabilizer(2, 0),
+         "edge stabilizer bits must be 0/1, got EdgeStabilizer(g=2, a=0)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()

@@ -207,6 +207,15 @@ def test_act_rejects_a_syllable_that_is_not_a_pair_tuple(rep, shown):
         act_edge("b", rep)
 
 
+# "x" failed with a bare "not enough values to unpack (expected 2, got 1)"
+# and 5 with "cannot unpack non-iterable int object"
+@pytest.mark.parametrize("vertex, shown", [("x", "'x'"), (5, "5"), ((PAIR, (), ()), "('pair', (), ())")])
+def test_act_names_a_vertex_that_is_not_a_pair(vertex, shown):
+    with pytest.raises(ValueError, match=rf"^vertex must be a \(kind, rep\) pair, got {re.escape(shown)}$"):
+        act("b", vertex)
+    assert act("b", [PAIR, ()]) == BASE_PAIR_VERTEX  # a list pair still unpacks
+
+
 def test_vertex_label():
     assert vertex_label((PAIR, ())) == "pair[1]"
     assert vertex_label((PAIR, (("P", 1), ("Q", 2)))) == "pair[b^1 d^2]"
