@@ -14,17 +14,20 @@ letters each, where only the syllables of w cancel at the junction.
 The row "mul_nf/act" times the products tree.act makes: a seeded batch
 of n products, each the normal form of a word of 1 to 24 letters times
 a representative of a vertex of ball(4, 2), at n = 1k, 2k, 4k and 8k.
-The rows "are_equal/mutant", "are_equal/padded" and "are_equal/wrapped"
-time `are_equal` of a random word and, in turn, the word with one letter
-changed to another of b B g d D, the word with 2 + n/500 random relator
-consequences of at most 60 letters inserted, and the word between two
-such consequences, the first of which starts with another letter than
-the word and the second ends with another.  The first two are the
-mutant and padding rules of perfbench's word ops.  Both pairs share
-their ends, so `are_equal` cancels all but a middle: one letter for the
-mutant, which the invariants of the g pass then tell apart, and the
-span of the inserted consequences for the padded pair, which is merged.
-The wrapped pair is equal and shares no end, so it is merged in full.
+The rows "are_equal/mutant", "are_equal/padded", "are_equal/wrapped"
+and "are_equal/unrelated" time `are_equal` of a random word and, in
+turn, the word with one letter changed to another of b B g d D, the
+word with 2 + n/500 random relator consequences of at most 60 letters
+inserted, the word between two such consequences, the first of which
+starts with another letter than the word and the second ends with
+another, and an independent random word of the same length whose g
+pass leaves the same tail bits.  The first two are the mutant and
+padding rules of perfbench's word ops.  Both pairs share their ends, so
+`are_equal` cancels all but a middle: one letter for the mutant, which
+is merged or told apart by its tail bits, and the span of the inserted
+consequences for the padded pair, which is merged.  The wrapped pair is
+equal and shares no end, so it is merged in full, and so is the
+unrelated pair, which no perfbench op makes.
 The rows "merge/random" and "merge/alternating" time `_merge` alone on
 the b, B, d, D letters the g pass leaves of each word.  The rows for
 layer "amalgam_reference" time the former quadratic rewriter kept in
@@ -109,6 +112,13 @@ def _wrapped(rng: random.Random, word: str) -> str:
     return _consequence_without(rng, 0, word[0]) + word + _consequence_without(rng, -1, word[-1])
 
 
+def _unrelated(rng: random.Random, word: str) -> str:
+    while True:
+        other = amalgam.random_word(rng, len(word))
+        if amalgam._g_pass(other)[1:] == amalgam._g_pass(word)[1:]:
+            return other
+
+
 def _equal_rungs(other):
     for n, word in _rungs("random", math.inf):
         yield n, (word, other(random.Random(SEED + n + 4), word))
@@ -135,7 +145,8 @@ def _rows():
         yield "amalgam", f"inv_nf/{family}", _nf_rungs(family), amalgam.inv_nf, None
         yield ("amalgam", f"mul_nf/{family}", _product_rungs(family),
                lambda pair: amalgam.mul_nf(*pair), None)
-    for name, other in (("mutant", _mutant), ("padded", _padded), ("wrapped", _wrapped)):
+    for name, other in (("mutant", _mutant), ("padded", _padded), ("wrapped", _wrapped),
+                        ("unrelated", _unrelated)):
         yield ("amalgam", f"are_equal/{name}", _equal_rungs(other),
                lambda pair: amalgam.are_equal(*pair), None)
     yield "amalgam", "mul_nf/partial", _partial_rungs(), lambda pair: amalgam.mul_nf(*pair), None

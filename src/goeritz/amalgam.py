@@ -42,15 +42,11 @@ and p y s are equal exactly when x and y are, so it drops the longest
 common prefix and suffix of the two parsed words, found by the doubling
 and halving slice search of words._common_prefix, and works on the
 middles alone, so an equal pair pays the g pass and the merge of what
-is left, not of both words.  It then compares four invariants of the g
-pass of the middles and merges only when they all agree: the g bit, the
-a bit, the sum of the b powers of the letters left and, mod 3, that of
-their d powers.  The tail is exactly what the g pass returns, and every
-merge keeps the sum of the pair powers and, mod 3, that of the triple
-powers, so the four are read off the unique normal form and equal
-elements agree on them.  Results are built through the
-slot descriptors without running check_syllables again; the public
-NormalForm constructor keeps its syllables as a tuple and checks them.
+is left, not of both words.  It then compares the normal forms of the
+middles: the tail bits of their g passes first, then their merged
+syllables.  Results are built through the slot descriptors without
+running check_syllables again; the public NormalForm constructor keeps
+its syllables as a tuple and checks them.
 Syllables are shared: each letter's syllable, each triple syllable and
 each pair syllable with |power| <= 32 is one prebuilt tuple.
 
@@ -183,14 +179,20 @@ class NormalForm:
     """Alternating (side, power) syllables followed by an edge-stabilizer tail.
 
     The constructor keeps the syllables as a tuple and checks them, and
-    raises TypeError for a tail that is not an EdgeStabilizer."""
+    raises TypeError for syllables that are not a sequence or a tail
+    that is not an EdgeStabilizer."""
 
     syllables: tuple[tuple[str, int], ...] = ()
     tail: EdgeStabilizer = EDGE_IDENTITY
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "syllables", tuple(self.syllables))
-        check_syllables(self.syllables)
+        try:
+            syllables = tuple(self.syllables)
+        except TypeError:
+            raise TypeError("syllables must be a sequence of (side, power) tuples, not "
+                            f"{type(self.syllables).__name__}") from None
+        object.__setattr__(self, "syllables", syllables)
+        check_syllables(syllables)
         if not isinstance(self.tail, EdgeStabilizer):
             raise TypeError(f"tail must be an EdgeStabilizer, not {type(self.tail).__name__}")
 
@@ -277,13 +279,6 @@ def _g_pass(letters: str) -> tuple[str, int, int]:
     return "".join(parts), (len(parts) - 1) & 1, a
 
 
-def _power_sums(letters: str) -> tuple[int, int]:
-    # the b-power sum and, mod 3, the d-power sum of letters in b, B, d, D,
-    # from three counts: the letters that are none of b, d, D are B's
-    b, d, D = letters.count("b"), letters.count("d"), letters.count("D")
-    return 2 * b + d + D - len(letters), (d - D) % 3
-
-
 def _syllables(letters: str) -> tuple[tuple[str, int], ...]:
     return _merge(map(_LETTER_SYLLABLE.__getitem__, letters), [])
 
@@ -340,14 +335,11 @@ def are_equal(u: str, v: str) -> bool:
     >>> are_equal("bd" + "gdg" + "Bd", "bd" + "D" + "Bd")
     True
 
-    Middles that differ in the g bit, the a bit, the b-power sum or the
-    d-power sum mod 3 of the g pass are unequal without any merging:
+    The middles are equal exactly when their normal forms are: the tail
+    bits of their g passes, then their merged syllables.
 
     >>> are_equal("ddd", "d")
     False
-
-    Middles that agree on all four are merged and their syllables compared:
-
     >>> are_equal("ad", "da")
     True
     >>> are_equal("bd", "db")
@@ -362,9 +354,7 @@ def are_equal(u: str, v: str) -> bool:
     tail = _common_prefix(uv[::-1], 0, len(v), n - head) if u[-1:] == v[-1:] else 0
     lu, gu, au = _g_pass(u[head:len(u) - tail])
     lv, gv, av = _g_pass(v[head:len(v) - tail])
-    if gu != gv or au != av or _power_sums(lu) != _power_sums(lv):
-        return False
-    return _syllables(lu) == _syllables(lv)
+    return gu == gv and au == av and _syllables(lu) == _syllables(lv)
 
 
 def nf_to_word(nf: NormalForm) -> str:

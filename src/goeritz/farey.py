@@ -79,6 +79,13 @@ __all__ = [
 ]
 
 
+def _check_ints(p: int, q: int) -> None:
+    # bool and the other int subclasses are refused too
+    if type(p) is not int or type(q) is not int:
+        name, value = ("p", p) if type(p) is not int else ("q", q)
+        raise TypeError(f"slope {name} must be an int, not {type(value).__name__}")
+
+
 class Slope(tuple):
     """A slope p/q of ints in lowest terms with q >= 0; 1/0 is infinity.
 
@@ -89,9 +96,7 @@ class Slope(tuple):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int) -> "Slope":
-        if type(p) is not int or type(q) is not int:
-            name, value = ("p", p) if type(p) is not int else ("q", q)
-            raise TypeError(f"slope {name} must be an int, not {type(value).__name__}")
+        _check_ints(p, q)
         if q < 0:
             raise ValueError("denominator must be non-negative")
         if q == 0 and p != 1:
@@ -126,7 +131,8 @@ SAMPLE_CAP = 1_000_000  # the most samples verify_axioms draws, about 5 s of che
 
 
 def slope(p: int, q: int) -> Slope:
-    """Normalize a fraction to a Slope."""
+    """Normalize a fraction of ints to a Slope."""
+    _check_ints(p, q)
     if q == 0:
         if p == 0:
             raise ValueError("0/0 is not a slope")

@@ -125,7 +125,8 @@ def _cases() -> list[list[str]]:
     # failure paths in JSON mode: fuel runs out (exit 1), usage error (exit 2)
     cases.append(["contract", "--seed", "3", "--fuel", "1", "--json"])
     cases.append(["tree", "--radius", "0", "--json"])
-    # eq pairs told apart by one invariant of the g pass, unequal with the
+    # eq pairs that differ in one invariant of the normal form (the g bit,
+    # the a bit, the b-power sum, the d-power sum mod 3), unequal with the
     # same invariants, equal only through the g pass, and bad words
     for left, right in EQ_PINNED:
         for json_flag in ([], ["--json"]):

@@ -5,9 +5,9 @@ The two share only the NormalForm class (whose syllables are plain
 (side, power) tuples), not the parsing or the rewriting: the reference
 keeps its own copy of the former per-character parse.  Normal forms are
 unique, so any disagreement on a syllable or on the tail is a defect in
-one of them.  are_equal answers "not equal" from invariants of its g pass
-before it merges, so it is checked against equality of the reference's
-normal forms on pairs of several shapes.
+one of them.  are_equal compares the normal forms of what two words
+leave once their common ends are cancelled, so it is checked against
+equality of the reference's normal forms on pairs of several shapes.
 """
 
 import pytest

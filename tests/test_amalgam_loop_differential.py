@@ -173,8 +173,8 @@ def test_word_problem_matches_the_former_stack_merge(u, v):
     for x, y in ((nu, nv), (nv, nu), (nu, amalgam.inv_nf(nu))):
         assert amalgam.mul_nf(x, y) == _with_stack_merge(amalgam.mul_nf, x, y)
     assert amalgam.inv_nf(nu) == _with_stack_merge(amalgam.inv_nf, nu)
-    # the last two pairs often agree on the invariants, and the first
-    # one is equal, so each is merged in full
+    # the first pair is equal and the last two often agree on the tail
+    # bits, so each is merged in full
     for x, y in ((u, amalgam.nf_to_word(nu)), (u, v), (u + v, v + u)):
         assert amalgam.are_equal(x, y) == _with_stack_merge(amalgam.are_equal, x, y)
 
@@ -266,15 +266,9 @@ def _letters_left(word):
     return len(amalgam._g_pass(amalgam.parse(word))[0])
 
 
-def test_are_equal_merges_only_the_middles(monkeypatch):
-    # p x s against p y s with |p| = |s| = 10,000: the merges read no more
-    # letters than the g passes of x and y leave, where merging both whole
-    # words reads the 16,000 or so letters p and s leave, twice
-    rng = random.Random(10_000)
-    p, s = amalgam.random_word(rng, 10_000), amalgam.random_word(rng, 10_000)
-    x = amalgam.random_word(rng, 60)
-    middles = [("gdg", "D", True), ("ad", "da", True), ("ddd", "", True), ("bd", "db", False),
-               (x, x, True), (x, x[:30] + amalgam.random_consequence(rng, 40) + x[30:], True)]
+def _count_merge_reads(monkeypatch) -> list[int]:
+    # the factors each _merge call reads, one entry per call, in a list
+    # that the caller clears between pairs
     merge, reads = amalgam._merge, []
 
     def counting_merge(factors, syllables):
@@ -284,11 +278,37 @@ def test_are_equal_merges_only_the_middles(monkeypatch):
         return merged
 
     monkeypatch.setattr(amalgam, "_merge", counting_merge)
+    return reads
+
+
+def test_are_equal_merges_only_the_middles(monkeypatch):
+    # p x s against p y s with |p| = |s| = 10,000: the merges read no more
+    # letters than the g passes of x and y leave, where merging both whole
+    # words reads the 16,000 or so letters p and s leave, twice
+    rng = random.Random(10_000)
+    p, s = amalgam.random_word(rng, 10_000), amalgam.random_word(rng, 10_000)
+    x = amalgam.random_word(rng, 60)
+    middles = [("gdg", "D", True), ("ad", "da", True), ("ddd", "", True), ("bd", "db", False),
+               (x, x, True), (x, x[:30] + amalgam.random_consequence(rng, 40) + x[30:], True)]
+    reads = _count_merge_reads(monkeypatch)
     for x, y, equal in middles:
         reads.clear()
         assert amalgam.are_equal(p + x + s, p + y + s) == equal
-        assert len(reads) == 2  # the invariants agree, so both middles merge
+        assert len(reads) == 2  # the tail bits agree, so both middles merge
         assert sum(reads) <= _letters_left(x) + _letters_left(y)
+
+
+def test_one_letter_mutants_merge_at_most_one_letter_per_middle(monkeypatch):
+    # a mutant at every position of a 10,000-letter word, each of the four
+    # other letters in turn: the cancellation leaves one letter per middle,
+    # so the word problem of a mutant pair merges at most one letter each
+    word = amalgam.random_word(random.Random(9), 10_000)
+    reads = _count_merge_reads(monkeypatch)
+    for i, letter in enumerate(word):
+        others = amalgam.GENERATOR_ALPHABET.replace(letter, "")
+        reads.clear()
+        assert not amalgam.are_equal(word, word[:i] + others[i % 4] + word[i + 1:])
+        assert len(reads) <= 2 and max(reads, default=0) <= 1
 
 
 # any code point; lone surrogates are rare among all characters, so they

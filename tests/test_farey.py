@@ -52,16 +52,23 @@ def test_slope_validation():
 
 
 # Slope(True, 1) printed as "True/1", which parse_slope cannot read back,
-# and Slope(1.0, 0) was accepted as infinity
+# and Slope(1.0, 0) was accepted as infinity; slope(1, 0.0) was infinity
+# too, slope(True, 2) was Slope(p=1, q=2), and slope(1.5, 2) failed
+# inside gcd naming no argument
 @pytest.mark.parametrize("p, q, message", [
     (True, 1, "slope p must be an int, not bool"),
     (1, True, "slope q must be an int, not bool"),
     (1.0, 0, "slope p must be an int, not float"),
     (1, "2", "slope q must be an int, not str"),
+    (1, 0.0, "slope q must be an int, not float"),
+    (True, 2, "slope p must be an int, not bool"),
+    (1.5, 2, "slope p must be an int, not float"),
 ])
 def test_slope_refuses_a_value_that_is_not_an_int(p, q, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         Slope(p, q)
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        slope(p, q)
 
 
 def test_parse_and_str():

@@ -1,6 +1,7 @@
 """Every module's __all__ names only what the module defines and what
 some caller outside the tests reads, every public method or property has
-such a reader too, and the package imports nothing at runtime beyond the
+such a reader too, every module-level private name has a reader in the
+package itself, and the package imports nothing at runtime beyond the
 standard library."""
 
 import ast
@@ -127,3 +128,28 @@ def test_every_public_method_has_a_caller_outside_tests():
     # a KEPT_METHODS entry goes once its name gains a reader or no class defines it
     stale = [n for n in KEPT_METHODS if n in reads or n not in {n for _, n in methods}]
     assert not stale, ", ".join(stale)
+
+
+def _private_names(tree: ast.Module) -> list[str]:
+    """The private names a module binds at its top level: a def, a class
+    or an assignment target, dunders left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_private_name_has_a_reader_in_the_package():
+    # a helper whose last caller in src/ went is dead code, even when a
+    # test or a benchmark still reads it
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(goeritz.__path__[0]).glob("*.py"))}
+    reads = set().union(*map(_reads, trees.values()))
+    unread = [f"{name}.{n}" for name, tree in trees.items() for n in _private_names(tree)
+              if n not in reads]
+    assert not unread, ", ".join(unread)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import tree_reference as ref
-from goeritz.amalgam import parse, random_word
+from goeritz.amalgam import NormalForm, parse, random_word
 from goeritz.tree import (
     BASE_EDGE,
     BASE_PAIR_VERTEX,
@@ -214,6 +214,18 @@ def test_act_names_a_vertex_that_is_not_a_pair(vertex, shown):
     with pytest.raises(ValueError, match=rf"^vertex must be a \(kind, rep\) pair, got {re.escape(shown)}$"):
         act("b", vertex)
     assert act("b", [PAIR, ()]) == BASE_PAIR_VERTEX  # a list pair still unpacks
+
+
+# 5 failed with the bare "'int' object is not iterable"
+@pytest.mark.parametrize("rep, type_name", [(5, "int"), (None, "NoneType")])
+def test_act_names_syllables_that_are_not_a_sequence(rep, type_name):
+    message = rf"^syllables must be a sequence of \(side, power\) tuples, not {type_name}$"
+    with pytest.raises(TypeError, match=message):
+        act("b", (PAIR, rep))
+    with pytest.raises(TypeError, match=message):
+        act_edge("b", rep)
+    with pytest.raises(TypeError, match=message):
+        NormalForm(rep)
 
 
 def test_vertex_label():
